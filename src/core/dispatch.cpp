@@ -47,13 +47,6 @@ EngineScore scoreEngine(const std::string& name, const CircuitFeatures& f,
                         std::uint64_t denseBudgetBytes) {
   EngineScore s;
   s.name = name;
-  const EngineCapabilities caps =
-      EngineRegistry::instance().capabilities(name);
-  if (f.dynamic && !caps.dynamicCircuits) {
-    s.rationale = "infeasible: circuit is dynamic and the engine does not "
-                  "implement the runDynamic primitives";
-    return s;
-  }
   const double gates = static_cast<double>(std::max<std::size_t>(f.gateCount, 1));
 
   if (name == "chp") {

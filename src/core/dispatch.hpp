@@ -1,8 +1,8 @@
 // Engine dispatch planner (DESIGN.md §13) — the decision half of the
 // adaptive portfolio behind `--engine auto`: score every registered engine
-// from the analyzer's workload features and each engine's capability
-// flags, pick the cheapest feasible one, and decide whether a mid-circuit
-// chp → chosen-engine handoff pays off.
+// from the analyzer's workload features against its gate set and the
+// dense-memory budget, pick the cheapest feasible one, and decide whether
+// a mid-circuit chp → chosen-engine handoff pays off.
 #pragma once
 
 #include <cstdint>

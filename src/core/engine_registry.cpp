@@ -47,11 +47,6 @@ class ExactEngine final : public Engine {
 
   const std::string& name() const override { return name_; }
   unsigned numQubits() const override { return sim_.numQubits(); }
-  EngineCapabilities capabilities() const override {
-    return {/*batchedSampling=*/true, /*noiseFastPath=*/false,
-            /*nativeExpectation=*/true, /*dynamicCircuits=*/true,
-            /*invariantAudit=*/true, /*serialization=*/true};
-  }
   void applyGate(const Gate& gate) override { sim_.applyGate(gate); }
   double probabilityOne(unsigned qubit) override {
     return sim_.probabilityOne(qubit);
@@ -60,13 +55,6 @@ class ExactEngine final : public Engine {
   bool measure(unsigned qubit, double random) override {
     noteCollapsed();
     return sim_.measure(qubit, random);
-  }
-  bool reset(unsigned qubit, double random) override {
-    // Collapse through the MeasurementContext (state-version bump included)
-    // plus the exact X kernel; later probabilities renormalize implicitly
-    // against the post-collapse Z[√2] weight.
-    noteCollapsed();
-    return sim_.reset(qubit, random);
   }
   void saveStatePayload(serialize::Writer& out) override {
     sim_.saveStatePayload(out);
@@ -109,14 +97,6 @@ class ExactEngine final : public Engine {
     std::ostringstream os;
     os << "k = " << sim_.kScalar() << ", r = " << sim_.bitWidth()
        << ", Σ|α|² = " << sim_.totalProbability() << " (exact)";
-    return os.str();
-  }
-  std::string statsSummary() override {
-    std::ostringstream os;
-    os << "gates: " << sim_.stats().gatesApplied
-       << ", max r: " << sim_.stats().maxBitWidth
-       << ", peak BDD nodes: " << sim_.stats().peakLiveNodes
-       << ", peak RSS: " << toMiB(peakRssBytes()) << " MiB";
     return os.str();
   }
   std::vector<std::pair<std::uint64_t, std::string>> nonzeroAmplitudes(
@@ -206,11 +186,6 @@ class QmddEngine final : public Engine {
 
   const std::string& name() const override { return name_; }
   unsigned numQubits() const override { return sim_.numQubits(); }
-  EngineCapabilities capabilities() const override {
-    return {/*batchedSampling=*/true, /*noiseFastPath=*/false,
-            /*nativeExpectation=*/true, /*dynamicCircuits=*/true,
-            /*invariantAudit=*/true, /*serialization=*/true};
-  }
   void applyGate(const Gate& gate) override { sim_.applyGate(gate); }
   double probabilityOne(unsigned qubit) override {
     return sim_.probabilityOne(qubit);
@@ -219,11 +194,6 @@ class QmddEngine final : public Engine {
   bool measure(unsigned qubit, double random) override {
     noteCollapsed();
     return sim_.measure(qubit, random);
-  }
-  bool reset(unsigned qubit, double random) override {
-    // Weighted-descent collapse (renormalizing the root weight) + X.
-    noteCollapsed();
-    return sim_.reset(qubit, random);
   }
   void saveStatePayload(serialize::Writer& out) override {
     sim_.saveStatePayload(out);
@@ -272,12 +242,6 @@ class QmddEngine final : public Engine {
   std::string runSummary() override {
     std::ostringstream os;
     os << "Σ|α|² = " << sim_.totalProbability();
-    return os.str();
-  }
-  std::string statsSummary() override {
-    std::ostringstream os;
-    os << "peak DD nodes: " << sim_.peakNodes()
-       << ", DD memory: " << toMiB(sim_.memoryBytes()) << " MiB";
     return os.str();
   }
   std::vector<std::pair<std::uint64_t, std::string>> nonzeroAmplitudes(
@@ -338,13 +302,6 @@ class ChpEngine final : public Engine {
 
   const std::string& name() const override { return name_; }
   unsigned numQubits() const override { return sim_.numQubits(); }
-  EngineCapabilities capabilities() const override {
-    // Pauli noise is native here: a tableau absorbs X/Y/Z errors without
-    // ever leaving the stabilizer formalism (the trajectory fast path).
-    return {/*batchedSampling=*/false, /*noiseFastPath=*/true,
-            /*nativeExpectation=*/true, /*dynamicCircuits=*/true,
-            /*invariantAudit=*/true, /*serialization=*/true};
-  }
   bool supports(const QuantumCircuit& c) const override {
     return StabilizerSimulator::supports(c);
   }
@@ -434,11 +391,6 @@ class StatevectorEngine final : public Engine {
 
   const std::string& name() const override { return name_; }
   unsigned numQubits() const override { return n_; }
-  EngineCapabilities capabilities() const override {
-    return {/*batchedSampling=*/true, /*noiseFastPath=*/false,
-            /*nativeExpectation=*/true, /*dynamicCircuits=*/true,
-            /*invariantAudit=*/true, /*serialization=*/true};
-  }
   bool supports(const QuantumCircuit& c) const override {
     return c.numQubits() <= kMaxQubits && n_ <= kMaxQubits;
   }
@@ -471,11 +423,6 @@ class StatevectorEngine final : public Engine {
   bool measure(unsigned qubit, double random) override {
     noteCollapsed();
     return sim().measure(qubit, random);
-  }
-  bool reset(unsigned qubit, double random) override {
-    // Projective collapse (renormalizing) + dense X.
-    noteCollapsed();
-    return sim().reset(qubit, random);
   }
   std::vector<bool> sampleShot(Rng& rng) override {
     requireUncollapsed();
@@ -613,20 +560,6 @@ void Engine::run(const QuantumCircuit& circuit) {
 
 // ---- facade: state serialization (DESIGN.md §12) -------------------------
 
-void Engine::saveStatePayload(serialize::Writer& out) {
-  (void)out;
-  throw std::logic_error("engine '" + name() +
-                         "' does not support state serialization "
-                         "(capabilities().serialization is false)");
-}
-
-void Engine::loadStatePayload(serialize::Reader& in) {
-  (void)in;
-  throw std::logic_error("engine '" + name() +
-                         "' does not support state serialization "
-                         "(capabilities().serialization is false)");
-}
-
 void Engine::saveState(std::ostream& out) {
   const metrics::ScopedSpan span(metrics_, "state.save");
   serialize::Writer payload;
@@ -758,43 +691,29 @@ EngineRegistry& EngineRegistry::instance() {
   static EngineRegistry* registry = [] {
     auto* r = new EngineRegistry;
     r->add("exact", "bit-sliced BDD engine (the paper's contribution)",
-           [](unsigned n) { return std::make_unique<ExactEngine>(n); },
-           {/*batchedSampling=*/true, /*noiseFastPath=*/false,
-            /*nativeExpectation=*/true, /*dynamicCircuits=*/true,
-            /*invariantAudit=*/true, /*serialization=*/true});
+           [](unsigned n) { return std::make_unique<ExactEngine>(n); });
     r->add("qmdd", "QMDD baseline, our DDSIM reimplementation",
-           [](unsigned n) { return std::make_unique<QmddEngine>(n); },
-           {/*batchedSampling=*/true, /*noiseFastPath=*/false,
-            /*nativeExpectation=*/true, /*dynamicCircuits=*/true,
-            /*invariantAudit=*/true, /*serialization=*/true});
+           [](unsigned n) { return std::make_unique<QmddEngine>(n); });
     r->add("chp", "CHP stabilizer tableau (Clifford circuits only)",
-           [](unsigned n) { return std::make_unique<ChpEngine>(n); },
-           {/*batchedSampling=*/false, /*noiseFastPath=*/true,
-            /*nativeExpectation=*/true, /*dynamicCircuits=*/true,
-            /*invariantAudit=*/true, /*serialization=*/true});
+           [](unsigned n) { return std::make_unique<ChpEngine>(n); });
     r->add("statevector", "dense 2^n array simulator (ground truth, n <= 26)",
-           [](unsigned n) { return std::make_unique<StatevectorEngine>(n); },
-           {/*batchedSampling=*/true, /*noiseFastPath=*/false,
-            /*nativeExpectation=*/true, /*dynamicCircuits=*/true,
-            /*invariantAudit=*/true, /*serialization=*/true});
+           [](unsigned n) { return std::make_unique<StatevectorEngine>(n); });
     return r;
   }();
   return *registry;
 }
 
 void EngineRegistry::add(const std::string& name,
-                         const std::string& description, Factory factory,
-                         EngineCapabilities capabilities) {
+                         const std::string& description, Factory factory) {
   const std::string key = toLower(name);
   for (Entry& e : entries_) {
     if (e.name == key) {
       e.description = description;
       e.factory = std::move(factory);
-      e.capabilities = capabilities;
       return;
     }
   }
-  entries_.push_back(Entry{key, description, std::move(factory), capabilities});
+  entries_.push_back(Entry{key, description, std::move(factory)});
 }
 
 const EngineRegistry::Entry* EngineRegistry::find(
@@ -876,12 +795,6 @@ std::string EngineRegistry::describe(const std::string& name) const {
   const Entry* e = find(name);
   if (e == nullptr) throwUnknown(name);
   return e->description;
-}
-
-EngineCapabilities EngineRegistry::capabilities(const std::string& name) const {
-  const Entry* e = find(name);
-  if (e == nullptr) throwUnknown(name);
-  return e->capabilities;
 }
 
 std::unique_ptr<Engine> EngineRegistry::create(const std::string& name,

@@ -40,42 +40,6 @@ class UnknownEngineError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-/// Per-engine capability flags, surfaced by `sliqsim --list-engines` and
-/// used by callers that pick execution strategies (e.g. the trajectory
-/// runner's reporting).
-struct EngineCapabilities {
-  /// sampleShots() is overridden with a native batch path that amortizes
-  /// per-state setup across the batch (vs the facade's sampleShot loop).
-  bool batchedSampling = false;
-  /// Pauli noise stays inside the engine's native formalism: stabilizer
-  /// tableaus absorb Pauli errors without leaving the Clifford fragment,
-  /// so noise trajectories never change the representation's cost class.
-  bool noiseFastPath = false;
-  /// expectation() is overridden with a native contraction (signed BDD
-  /// weight traversal, DD pair contraction, tableau commutation, dense
-  /// contraction) instead of the facade's basis-change + probabilityOne
-  /// fallback.
-  bool nativeExpectation = false;
-  /// The engine implements the per-op primitives (applyGate / measure /
-  /// reset) that runDynamic() drives, so it executes dynamic circuits
-  /// (mid-circuit measurement, reset, classical control). The noise
-  /// trajectory runner checks this flag before replaying dynamic circuits
-  /// and refuses the Pauli-frame fast path for them regardless (frames do
-  /// not commute through classical control).
-  bool dynamicCircuits = false;
-  /// auditInvariants() is overridden with a deep structural validator of
-  /// the engine's representation (unique-table canonicity, tableau
-  /// symplectic checks, norm scans — DESIGN.md §10). Engines without one
-  /// keep the facade's no-op, and SLIQ_AUDIT builds audit nothing there.
-  bool invariantAudit = false;
-  /// saveState()/loadState() are implemented natively: the engine's
-  /// representation round-trips through the versioned `sliq.state.v1`
-  /// binary snapshot format (support/serialize.hpp, DESIGN.md §12) with
-  /// bit-identical post-load query/sampling/expectation results. Engines
-  /// without the flag throw std::logic_error from both entry points.
-  bool serialization = false;
-};
-
 /// Result of one dynamic-circuit execution (Engine::runDynamic).
 struct DynamicRun {
   /// Final classical register, bit c = creg[c] (the value classical
@@ -122,7 +86,6 @@ class Engine {
   /// Canonical (lower-case) registry name of this engine.
   virtual const std::string& name() const = 0;
   virtual unsigned numQubits() const = 0;
-  virtual EngineCapabilities capabilities() const { return {}; }
 
   /// True when the engine can simulate every gate of `c` at this width
   /// within its structural limits (gate set, memory feasibility). Callers
@@ -161,17 +124,20 @@ class Engine {
   /// with a restricted gate set, for unsupported gates.
   virtual void applyGate(const Gate& gate) = 0;
 
+  /// Pr[qubit = 1]; throws std::invalid_argument for qubit >= numQubits().
   virtual double probabilityOne(unsigned qubit) = 0;
   /// Σ|α|² (1 up to engine-specific rounding while normalized).
   virtual double totalProbability() = 0;
   /// Collapses `qubit`; `random` in [0,1) picks the outcome, which is 1
   /// iff random < Pr[qubit = 1] — the convention shared by every engine,
-  /// so identical deviates yield identical collapse cascades.
+  /// so identical deviates yield identical collapse cascades. Throws
+  /// std::invalid_argument for an out-of-range qubit or deviate.
   virtual bool measure(unsigned qubit, double random) = 0;
   /// Resets `qubit` to |0⟩: a measure() collapse (consuming exactly the
   /// one deviate) followed by an X flip when the observed bit was 1.
-  /// Returns the pre-reset measured bit. Engines override this with their
-  /// native reset; the semantics and deviate count are pinned identical.
+  /// Returns the pre-reset measured bit. exact, qmdd and statevector use
+  /// this body; chp overrides it with its native tableau reset (same
+  /// semantics and deviate count, pinned across engines).
   virtual bool reset(unsigned qubit, double random) {
     const bool was = measure(qubit, random);
     if (was) applyGate(Gate{GateKind::kX, {qubit}, {}});
@@ -210,9 +176,8 @@ class Engine {
   /// restriction as sampleShot(): only valid before any measure() call —
   /// throws std::logic_error afterwards. Throws ObservableSpecError when the
   /// observable references a qubit >= numQubits(). Implemented by
-  /// expectationImpl(); the default is the engine-agnostic basis-change
-  /// fallback (core/observable.hpp), overridden per engine with a native
-  /// contraction. Defined out of line in observable.cpp.
+  /// expectationImpl(), each engine's native contraction. Defined out of
+  /// line in observable.cpp.
   double expectation(const PauliObservable& observable);
 
   /// Requests `threads` worker threads for single-circuit execution
@@ -246,11 +211,9 @@ class Engine {
 
   // ---- state serialization (DESIGN.md §12) --------------------------------
   /// Serializes the engine's current state as one `sliq.state.v1` snapshot
-  /// (envelope + engine-native payload) to `out`. Only meaningful for
-  /// engines with capabilities().serialization — others throw
-  /// std::logic_error. Does not mutate the state; records a `state.save`
-  /// span into metrics(). Throws serialize::SerializationError on stream
-  /// failure.
+  /// (envelope + engine-native payload) to `out`. Does not mutate the
+  /// state; records a `state.save` span into metrics(). Throws
+  /// serialize::SerializationError on stream failure.
   void saveState(std::ostream& out);
   /// Replaces the engine's state with the snapshot read from `in`. The
   /// envelope must match this engine (representation name, qubit count,
@@ -292,8 +255,6 @@ class Engine {
 
   /// One-line engine-specific summary for after run() (k, r, Σ|α|², ...).
   virtual std::string runSummary() { return {}; }
-  /// One-line statistics summary (--stats).
-  virtual std::string statsSummary() { return {}; }
   /// Up to `maxCount` nonzero amplitudes as (basis index, printable
   /// value); empty when the engine cannot enumerate amplitudes at this
   /// width.
@@ -305,13 +266,11 @@ class Engine {
 
   /// Deep structural audit of the engine's representation (DESIGN.md §10):
   /// throws audit::AuditError naming the violated structure and node on
-  /// the first broken invariant, returns normally on a sound state. The
-  /// facade default is a no-op (capabilities().invariantAudit tells
-  /// callers whether an engine actually validates anything). Under
+  /// the first broken invariant, returns normally on a sound state. Under
   /// `-DSLIQ_AUDIT=ON` the facade calls this automatically after run(),
   /// and after every executed collapse inside runDynamic(). Tests can wrap
   /// single operations in any build via audit::withAudit.
-  virtual void auditInvariants() {}
+  virtual void auditInvariants() = 0;
 
  protected:
   /// The SLIQ_AUDIT hook point: compiled to auditInvariants() only when
@@ -335,25 +294,22 @@ class Engine {
 
   /// runMetrics() body: mirror engine-native totals into metrics() with
   /// counterSet/gaugeSet (absolute values, so repeated calls do not
-  /// double-count). The base contributes nothing; every built-in engine
-  /// overrides it.
-  virtual void fillRunReport() {}
+  /// double-count).
+  virtual void fillRunReport() = 0;
 
   /// saveState() body: append the engine-native payload (everything inside
   /// the envelope) to `out`. The facade owns the envelope + checksum.
-  /// The default throws std::logic_error (capabilities().serialization
-  /// tells callers ahead of time).
-  virtual void saveStatePayload(serialize::Writer& out);
+  virtual void saveStatePayload(serialize::Writer& out) = 0;
   /// loadState() body: parse the checksum-verified payload from `in` and
   /// swap the decoded state in. MUST parse into locals first so a throw
   /// leaves the engine untouched; the facade rejects envelope mismatches
   /// (representation/width/version/checksum) before calling this.
-  virtual void loadStatePayload(serialize::Reader& in);
+  virtual void loadStatePayload(serialize::Reader& in) = 0;
 
   /// expectation() body, called after the facade has checked the collapse
-  /// restriction and the observable's width. The base implementation is the
-  /// generic basis-change + probabilityOne fallback.
-  virtual double expectationImpl(const PauliObservable& observable);
+  /// restriction and the observable's width. genericExpectation
+  /// (core/observable.hpp) is the engine-agnostic reference it must match.
+  virtual double expectationImpl(const PauliObservable& observable) = 0;
 
   // ---- conversion hooks (exportTo's routes; core/state_convert.cpp) ------
   /// Fills `out` with a static circuit preparing the current state from
@@ -408,13 +364,9 @@ class EngineRegistry {
   static EngineRegistry& instance();
 
   /// Registers `factory` under `name` (matched case-insensitively).
-  /// Re-registering an existing name replaces its factory. `capabilities`
-  /// must mirror what the engine's instances report (pinned by the registry
-  /// test for the built-ins) — stored here so that callers (e.g.
-  /// --list-engines) can query flags without constructing a throwaway
-  /// engine. Deliberately no default: registering forces the decision.
+  /// Re-registering an existing name replaces its description and factory.
   void add(const std::string& name, const std::string& description,
-           Factory factory, EngineCapabilities capabilities);
+           Factory factory);
 
   bool contains(const std::string& name) const;
   /// Canonical engine names, sorted.
@@ -427,8 +379,6 @@ class EngineRegistry {
   /// names() joined with ", " — for error and usage messages.
   std::string namesJoined() const;
   std::string describe(const std::string& name) const;
-  /// Registered capability flags; throws UnknownEngineError like describe.
-  EngineCapabilities capabilities(const std::string& name) const;
 
   /// Instantiates the engine registered under `name` (case-insensitive);
   /// throws UnknownEngineError listing the registered names otherwise.
@@ -440,7 +390,6 @@ class EngineRegistry {
     std::string name;  // canonical lower-case
     std::string description;
     Factory factory;
-    EngineCapabilities capabilities;
   };
   const Entry* find(const std::string& name) const;
   [[noreturn]] void throwUnknown(const std::string& name) const;

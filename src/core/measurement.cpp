@@ -125,12 +125,6 @@ bool SliqSimulator::measure(unsigned qubit, double random) {
   return outcome;
 }
 
-bool SliqSimulator::reset(unsigned qubit, double random) {
-  const bool was = measure(qubit, random);
-  if (was) applyGate(Gate{GateKind::kX, {qubit}, {}});
-  return was;
-}
-
 std::vector<bool> SliqSimulator::sampleAll(Rng& rng) {
   return measurementContext().sampleAll(rng);
 }

@@ -262,8 +262,4 @@ double Engine::expectation(const PauliObservable& observable) {
   return expectationImpl(observable);
 }
 
-double Engine::expectationImpl(const PauliObservable& observable) {
-  return genericExpectation(*this, observable);
-}
-
 }  // namespace sliq

@@ -121,9 +121,9 @@ PauliObservable singleStringObservable(const PauliString& term);
 /// up to representation details (never up to probabilities).
 double genericStringExpectation(Engine& engine, const PauliString& term);
 
-/// Σ_s c_s · genericStringExpectation(engine, s) — the Engine facade's
-/// default expectation() implementation, exposed for differential tests
-/// against the native per-engine fast paths.
+/// Σ_s c_s · genericStringExpectation(engine, s) — the engine-agnostic
+/// reference oracle that differential tests and bench_observables hold the
+/// native per-engine expectation() paths against.
 double genericExpectation(Engine& engine, const PauliObservable& observable);
 
 }  // namespace sliq

@@ -102,11 +102,6 @@ class SliqSimulator {
   /// current weight is the denominator of later probabilities). `random`
   /// in [0,1) selects the outcome.
   bool measure(unsigned qubit, double random);
-  /// Resets one qubit to |0⟩: collapse exactly like measure(), then an X
-  /// kernel when the observed bit was 1. Consumes exactly one deviate (the
-  /// collapse), like every engine's reset — the shared dynamic-circuit
-  /// deviate contract. Returns the pre-reset measured bit.
-  bool reset(unsigned qubit, double random);
   /// Samples a complete basis state (bit q = outcome of qubit q) by one
   /// weighted descent of the monolithic BDD without collapsing the register.
   std::vector<bool> sampleAll(Rng& rng);

@@ -379,11 +379,6 @@ TrajectoryResult runChecked(const std::string& engineName,
           "Pauli-frame fast path requires a Clifford circuit");
     }
   }
-  if (dynamic &&
-      !EngineRegistry::instance().capabilities(engineName).dynamicCircuits) {
-    throw NoiseError("engine '" + engineName +
-                     "' does not declare the dynamic-circuits capability");
-  }
 
   TrajectoryResult result;
   result.trajectories = options.trajectories;

@@ -93,8 +93,7 @@ struct TrajectoryResult {
 /// `model` on the engine registered as `engineName`, fanning them across
 /// worker threads. Throws NoiseError for an infeasible combination (model
 /// qubit filters out of range, engine unsupported for the circuit, a
-/// dynamic circuit on an engine without the dynamicCircuits capability or
-/// with options.forcePauliFrame set).
+/// dynamic circuit with options.forcePauliFrame set).
 ///
 /// Dynamic circuits run on a dedicated generic path: each trajectory
 /// re-executes the classical control flow through Engine::runDynamic with

@@ -157,12 +157,6 @@ bool QmddSimulator::measure(unsigned qubit, double random) {
   return outcome;
 }
 
-bool QmddSimulator::reset(unsigned qubit, double random) {
-  const bool was = measure(qubit, random);
-  if (was) applyGate(Gate{GateKind::kX, {qubit}, {}});
-  return was;
-}
-
 std::uint64_t QmddSimulator::sampleAll(Rng& rng) {
   std::unordered_map<NodeId, double> memo;
   return mgr_.sampleOnce(mgr_.root(), n_, rng, memo);

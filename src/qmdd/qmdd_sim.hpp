@@ -52,10 +52,6 @@ class QmddSimulator {
   double totalProbability();
   double probabilityOne(unsigned qubit);
   bool measure(unsigned qubit, double random);
-  /// Resets a qubit to |0⟩: weighted-descent collapse exactly like
-  /// measure(), then an X when the observed bit was 1. Consumes one
-  /// deviate; returns the pre-reset measured bit.
-  bool reset(unsigned qubit, double random);
   /// One full-register sample (bit q = outcome of qubit q) by weighted
   /// descent of the state DD, without collapsing the register.
   std::uint64_t sampleAll(Rng& rng);

@@ -125,6 +125,7 @@ void StatevectorSimulator::runFused(const FusedCircuit& circuit) {
 }
 
 double StatevectorSimulator::probabilityOne(unsigned qubit) const {
+  SLIQ_REQUIRE(qubit < numQubits_, "qubit out of range");
   const std::uint64_t bit = std::uint64_t{1} << qubit;
   double p = 0;
   for (std::uint64_t i = 0; i < state_.size(); ++i) {
@@ -192,6 +193,8 @@ double StatevectorSimulator::expectationPauli(std::uint64_t xmask,
 }
 
 bool StatevectorSimulator::measure(unsigned qubit, double random) {
+  SLIQ_REQUIRE(qubit < numQubits_, "qubit out of range");
+  SLIQ_REQUIRE(random >= 0.0 && random < 1.0, "random must be in [0,1)");
   const double p1 = probabilityOne(qubit);
   const bool outcome = random < p1;
   const double keep = outcome ? p1 : 1.0 - p1;
@@ -202,12 +205,6 @@ bool StatevectorSimulator::measure(unsigned qubit, double random) {
     state_[i] = isOne == outcome ? state_[i] * scale : Amplitude{0, 0};
   }
   return outcome;
-}
-
-bool StatevectorSimulator::reset(unsigned qubit, double random) {
-  const bool was = measure(qubit, random);
-  if (was) applyGate(Gate{GateKind::kX, {qubit}, {}});
-  return was;
 }
 
 std::uint64_t StatevectorSimulator::sampleAll(double random) const {

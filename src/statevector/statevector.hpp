@@ -72,10 +72,6 @@ class StatevectorSimulator {
   /// Measures a single qubit (collapse + renormalize), consuming `random`
   /// in [0,1) to pick the outcome. Returns the observed bit.
   bool measure(unsigned qubit, double random);
-  /// Resets a qubit to |0⟩: projective collapse exactly like measure(),
-  /// then an X when the observed bit was 1. Consumes one deviate; returns
-  /// the pre-reset measured bit.
-  bool reset(unsigned qubit, double random);
   /// ⟨P⟩ for the Pauli string with X-support `xmask`, Y-support `ymask` and
   /// Z-support `zmask` (disjoint, bit q = qubit q), by direct contraction:
   /// Σ_i conj(α_{i⊕flip})·phase(i)·α_i with flip = X∪Y support and

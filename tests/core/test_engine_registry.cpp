@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,45 +32,6 @@ TEST(EngineRegistry, BuiltInsRegistered) {
     EXPECT_TRUE(EngineRegistry::instance().contains(expected)) << expected;
     EXPECT_FALSE(EngineRegistry::instance().describe(expected).empty())
         << expected;
-  }
-}
-
-TEST(EngineRegistry, RegisteredCapabilitiesMatchInstanceCapabilities) {
-  // The registry stores capability flags so callers can query them without
-  // constructing an engine; this pins the copy to what instances report.
-  for (const std::string& name : engineNames()) {
-    SCOPED_TRACE(name);
-    const EngineCapabilities fromRegistry =
-        EngineRegistry::instance().capabilities(name);
-    const EngineCapabilities fromInstance =
-        makeEngine(name, 2)->capabilities();
-    EXPECT_EQ(fromRegistry.batchedSampling, fromInstance.batchedSampling);
-    EXPECT_EQ(fromRegistry.noiseFastPath, fromInstance.noiseFastPath);
-    EXPECT_EQ(fromRegistry.nativeExpectation, fromInstance.nativeExpectation);
-    EXPECT_EQ(fromRegistry.dynamicCircuits, fromInstance.dynamicCircuits);
-    EXPECT_EQ(fromRegistry.invariantAudit, fromInstance.invariantAudit);
-    EXPECT_EQ(fromRegistry.serialization, fromInstance.serialization);
-  }
-  EXPECT_THROW(EngineRegistry::instance().capabilities("no-such-engine"),
-               UnknownEngineError);
-  // Distinguishing expectations: the exact engine batches natively, chp's
-  // stabilizer formalism absorbs Pauli noise, and every built-in contracts
-  // Pauli observables natively.
-  EXPECT_TRUE(EngineRegistry::instance().capabilities("exact").batchedSampling);
-  EXPECT_TRUE(EngineRegistry::instance().capabilities("chp").noiseFastPath);
-  EXPECT_FALSE(EngineRegistry::instance().capabilities("chp").batchedSampling);
-  for (const std::string& name : engineNames()) {
-    EXPECT_TRUE(EngineRegistry::instance().capabilities(name).nativeExpectation)
-        << name;
-    // Every built-in implements the per-op primitives runDynamic drives.
-    EXPECT_TRUE(EngineRegistry::instance().capabilities(name).dynamicCircuits)
-        << name;
-    // And every built-in walks its representation's structural invariants.
-    EXPECT_TRUE(EngineRegistry::instance().capabilities(name).invariantAudit)
-        << name;
-    // And every built-in snapshots its state natively (DESIGN.md §12).
-    EXPECT_TRUE(EngineRegistry::instance().capabilities(name).serialization)
-        << name;
   }
 }
 
@@ -129,8 +91,8 @@ TEST(EngineRegistry, FarFromEveryNameGetsNoSuggestion) {
 }
 
 TEST(EngineRegistry, AllThreeLookupEntryPointsSuggest) {
-  // describe / capabilities / create share one error path; a typo through
-  // any of them carries the suggestion.
+  // describe / create share one error path; a typo through either of them
+  // carries the suggestion.
   const auto expectSuggests = [](auto&& call) {
     try {
       call();
@@ -143,7 +105,6 @@ TEST(EngineRegistry, AllThreeLookupEntryPointsSuggest) {
   };
   const EngineRegistry& registry = EngineRegistry::instance();
   expectSuggests([&] { registry.describe("qmd"); });
-  expectSuggests([&] { (void)registry.capabilities("qmd"); });
   expectSuggests([&] { (void)registry.create("qmd", 2); });
 }
 
@@ -166,20 +127,17 @@ TEST(EngineRegistry, LookupIsCaseInsensitive) {
 
 TEST(EngineRegistry, ReRegisteringReplacesAndNewNamesExtend) {
   EngineRegistry local;
-  local.add("Mine", "first", [](unsigned n) { return makeEngine("exact", n); },
-            {/*batchedSampling=*/true, /*noiseFastPath=*/false});
+  local.add("Mine", "first",
+            [](unsigned n) { return makeEngine("exact", n); });
   EXPECT_TRUE(local.contains("mine"));
   EXPECT_EQ(local.describe("MINE"), "first");
-  EXPECT_TRUE(local.capabilities("mine").batchedSampling);
+  EXPECT_EQ(local.create("mine", 2)->name(), "exact");
   local.add("mine", "second",
-            [](unsigned n) { return makeEngine("qmdd", n); },
-            {/*batchedSampling=*/false, /*noiseFastPath=*/true});
+            [](unsigned n) { return makeEngine("qmdd", n); });
+  // Re-registration replaces the description and the factory in place.
   EXPECT_EQ(local.names().size(), 1u);
   EXPECT_EQ(local.describe("mine"), "second");
   EXPECT_EQ(local.create("mine", 2)->name(), "qmdd");
-  // Re-registration replaces the capability flags along with the factory.
-  EXPECT_FALSE(local.capabilities("mine").batchedSampling);
-  EXPECT_TRUE(local.capabilities("mine").noiseFastPath);
 }
 
 TEST(EngineRegistry, EveryEngineRoundTripsABellCircuit) {
@@ -230,6 +188,18 @@ TEST(EngineRegistry, SampleShotAfterMeasureIsALogicErrorOnEveryEngine) {
     (void)engine->measure(0, 0.25);
     Rng rng(3);
     EXPECT_THROW(engine->sampleShot(rng), std::logic_error);
+  }
+}
+
+TEST(EngineRegistry, OutOfRangeQueriesThrowOnEveryEngine) {
+  // Qubit index == width and a deviate outside [0,1) are caller errors on
+  // every engine, rejected before any state is read or collapsed.
+  for (const std::string& name : engineNames()) {
+    SCOPED_TRACE(name);
+    const std::unique_ptr<Engine> engine = makeEngine(name, 3);
+    EXPECT_THROW(engine->probabilityOne(3), std::invalid_argument);
+    EXPECT_THROW(engine->measure(3, 0.5), std::invalid_argument);
+    EXPECT_THROW(engine->measure(0, 1.0), std::invalid_argument);
   }
 }
 

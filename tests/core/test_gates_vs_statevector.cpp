@@ -40,6 +40,11 @@ struct GateCase {
   Gate gate;
 };
 
+// Without this, gtest prints the case as raw object bytes, which include
+// the load address of `name`; listed test names would then change with
+// every run under address-space randomization.
+void PrintTo(const GateCase& gc, std::ostream* os) { *os << gc.name; }
+
 class SingleGate : public ::testing::TestWithParam<GateCase> {};
 
 TEST_P(SingleGate, MatchesDenseOnRandomStates) {

@@ -118,8 +118,6 @@ TEST(MetricsDeterminism, QueriesAreExactlyEqualWithTelemetryOn) {
 TEST(MetricsDeterminism, DynamicRunsAreBitIdenticalWithTelemetryOn) {
   const QuantumCircuit c = dynamicCircuit();
   for (const std::string& name : engineNames()) {
-    if (!EngineRegistry::instance().capabilities(name).dynamicCircuits)
-      continue;
     SCOPED_TRACE(name);
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       const std::unique_ptr<Engine> plain = makeEngine(name, 3);

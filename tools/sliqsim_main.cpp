@@ -74,8 +74,8 @@
 //                              (produced with --noise + --traj-offset)
 //                              additively; histogram to stdout, summary to
 //                              stderr
-//   --list-engines             list registered engines (with capability
-//                              flags) and exit
+//   --list-engines             list registered engines (name — description)
+//                              and exit
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
@@ -127,20 +127,8 @@ int usage() {
 
 int listEngines() {
   const sliq::EngineRegistry& registry = sliq::EngineRegistry::instance();
-  for (const std::string& name : sliq::engineNames()) {
-    const sliq::EngineCapabilities caps = registry.capabilities(name);
-    const bool any = caps.batchedSampling || caps.noiseFastPath ||
-                     caps.nativeExpectation || caps.dynamicCircuits ||
-                     caps.invariantAudit || caps.serialization;
-    std::cout << name << " — " << registry.describe(name) << " [capabilities:"
-              << (caps.batchedSampling ? " batched-sampling" : "")
-              << (caps.noiseFastPath ? " noise-fast-path" : "")
-              << (caps.nativeExpectation ? " native-expectation" : "")
-              << (caps.dynamicCircuits ? " dynamic-circuits" : "")
-              << (caps.invariantAudit ? " invariant-audit" : "")
-              << (caps.serialization ? " serialization" : "")
-              << (any ? "" : " none") << "]\n";
-  }
+  for (const std::string& name : sliq::engineNames())
+    std::cout << name << " — " << registry.describe(name) << "\n";
   return 0;
 }
 
@@ -196,6 +184,24 @@ bool emitTelemetry(const Options& opt, const sliq::metrics::RunReport& report,
     }
   }
   return true;
+}
+
+/// The one engine setup every CLI path shares: with telemetry on, the
+/// engine's registry is enabled and absorbs the pre-engine CLI phases
+/// (parse, optimize, dispatch); --threads partitions single-circuit
+/// execution unless --noise claims it for trajectory fan-out.
+std::unique_ptr<sliq::Engine> makeCliEngine(
+    const std::string& name, unsigned numQubits, const Options& opt,
+    const sliq::metrics::Registry& cliMetrics, bool telemetry) {
+  std::unique_ptr<sliq::Engine> engine = sliq::makeEngine(name, numQubits);
+  if (telemetry) {
+    engine->metrics().enable();
+    engine->metrics().merge(cliMetrics);
+  }
+  if (opt.threadsGiven && opt.noisePath.empty()) {
+    engine->setExecutionThreads(opt.threads);
+  }
+  return engine;
 }
 
 // ---- state snapshots -------------------------------------------------------
@@ -437,14 +443,9 @@ int runStateQueries(const Options& opt, sliq::Engine& engine,
     std::cout << "sampled " << opt.shots << " shots in " << sampleSeconds
               << " s\n";
   }
-  if (telemetry) {
-    const std::string stats = engine.statsSummary();
-    if (opt.stats && opt.statsFormat == "text" && !stats.empty()) {
-      std::cout << stats << "\n";
-    }
-    if (!emitTelemetry(opt, engine.runMetrics(), engine.metrics())) {
-      return 1;
-    }
+  if (telemetry &&
+      !emitTelemetry(opt, engine.runMetrics(), engine.metrics())) {
+    return 1;
   }
   return 0;
 }
@@ -452,7 +453,8 @@ int runStateQueries(const Options& opt, sliq::Engine& engine,
 /// Pure snapshot-query mode: no circuit — the engine (and register width)
 /// come from the snapshot header, the state from the snapshot body, and
 /// the usual queries run against it.
-int queryLoadedState(const Options& opt, sliq::metrics::Registry& cliMetrics,
+int queryLoadedState(const Options& opt,
+                     const sliq::metrics::Registry& cliMetrics,
                      bool telemetry) {
   using namespace sliq;
   std::ifstream peek(opt.loadStatePath, std::ios::binary);
@@ -469,12 +471,8 @@ int queryLoadedState(const Options& opt, sliq::metrics::Registry& cliMetrics,
   // user's flag).
   const std::string engineName =
       opt.engineGiven ? opt.engine : info.representation;
-  std::unique_ptr<Engine> engine = makeEngine(engineName, info.numQubits);
-  if (telemetry) {
-    engine->metrics().enable();
-    engine->metrics().merge(cliMetrics);
-  }
-  if (opt.threadsGiven) engine->setExecutionThreads(opt.threads);
+  std::unique_ptr<Engine> engine =
+      makeCliEngine(engineName, info.numQubits, opt, cliMetrics, telemetry);
   loadEngineState(*engine, opt.loadStatePath);
   std::cout << "loaded state: " << engine->name() << ", "
             << engine->numQubits() << " qubits (" << opt.loadStatePath
@@ -663,28 +661,13 @@ int main(int argc, char** argv) {
     }
 
     // The one code path for every engine: name -> registry -> facade.
-    std::unique_ptr<Engine> engine =
-        makeEngine(engineName, circuit.numQubits());
-    if (telemetry) {
-      engine->metrics().enable();
-      engine->metrics().merge(cliMetrics);
-    }
-    if (opt.threadsGiven && opt.noisePath.empty()) {
-      engine->setExecutionThreads(opt.threads);
-    }
+    std::unique_ptr<Engine> engine = makeCliEngine(
+        engineName, circuit.numQubits(), opt, cliMetrics, telemetry);
     if (!engine->supports(circuit)) {
       std::cerr << "error: engine '" << engine->name()
                 << "' does not support this circuit ("
                 << EngineRegistry::instance().describe(engine->name())
                 << ")\n";
-      return 1;
-    }
-    if ((!opt.saveStatePath.empty() || !opt.loadStatePath.empty() ||
-         !opt.warmCacheDir.empty()) &&
-        !engine->capabilities().serialization) {
-      std::cerr << "error: engine '" << engine->name()
-                << "' does not declare the serialization capability "
-                   "(--save-state/--load-state/--warm-cache need it)\n";
       return 1;
     }
 
@@ -704,16 +687,9 @@ int main(int argc, char** argv) {
       traj.threads = opt.threads;
       traj.seed = opt.seed;
       traj.metrics = telemetry ? &engine->metrics() : nullptr;
-      if (!opt.observablePath.empty()) {
-        // Noisy expectation: the trajectory-mean of engine-exact ⟨O⟩,
-        // bit-identical for every --threads under a fixed --seed (printed
-        // with full precision so determinism diffs would catch any drift).
-        const noise::ExpectationResult result = noise::runTrajectoryExpectation(
-            *engine, circuit, model, observable, traj);
-        std::cout << "<O> = " << std::setprecision(17) << result.mean
-                  << std::setprecision(6) << "  (stat. error "
-                  << result.standardError << " over " << result.trajectories
-                  << " trajectories)\n";
+      // The closing line and telemetry of a --noise run, shared by the
+      // expectation and the histogram result; returns the exit code.
+      const auto finish = [&](const auto& result) {
         std::cout << "ran " << result.trajectories << " trajectories in "
                   << result.seconds << " s ("
                   << static_cast<std::uint64_t>(result.trajectoriesPerSecond())
@@ -727,24 +703,24 @@ int main(int argc, char** argv) {
           return 1;
         }
         return 0;
+      };
+      if (!opt.observablePath.empty()) {
+        // Noisy expectation: the trajectory-mean of engine-exact ⟨O⟩,
+        // bit-identical for every --threads under a fixed --seed (printed
+        // with full precision so determinism diffs would catch any drift).
+        const noise::ExpectationResult result = noise::runTrajectoryExpectation(
+            *engine, circuit, model, observable, traj);
+        std::cout << "<O> = " << std::setprecision(17) << result.mean
+                  << std::setprecision(6) << "  (stat. error "
+                  << result.standardError << " over " << result.trajectories
+                  << " trajectories)\n";
+        return finish(result);
       }
       const noise::TrajectoryResult result =
           noise::runTrajectories(*engine, circuit, model, traj);
       for (const auto& [bits, count] : result.counts)
         std::cout << bits << "  " << count << "\n";
-      std::cout << "ran " << result.trajectories << " trajectories in "
-                << result.seconds << " s ("
-                << static_cast<std::uint64_t>(result.trajectoriesPerSecond())
-                << " traj/s, " << result.threadsUsed << " thread"
-                << (result.threadsUsed == 1 ? "" : "s") << ", "
-                << (result.usedPauliFrameFastPath ? "pauli-frame fast path"
-                                                  : "generic path")
-                << ", " << engine->name() << ")\n";
-      if (telemetry &&
-          !emitTelemetry(opt, engine->runMetrics(), engine->metrics())) {
-        return 1;
-      }
-      return 0;
+      return finish(result);
     }
 
     // Resume semantics: the restored snapshot replaces |0...0⟩ as the
@@ -814,12 +790,8 @@ int main(int argc, char** argv) {
           if (!ran) {
             // The refused handoff may have left partial state behind —
             // restart monolithically on a fresh engine.
-            engine = makeEngine(engineName, circuit.numQubits());
-            if (telemetry) {
-              engine->metrics().enable();
-              engine->metrics().merge(cliMetrics);
-            }
-            if (opt.threadsGiven) engine->setExecutionThreads(opt.threads);
+            engine = makeCliEngine(engineName, circuit.numQubits(), opt,
+                                   cliMetrics, telemetry);
           }
         }
         if (!ran) engine->run(circuit);
