@@ -39,7 +39,7 @@ void report(std::ostream& os) {
       table.addRow({p.name, std::to_string(n), formatSeconds(timer.seconds()),
                     std::to_string(sim.bitWidth()),
                     std::to_string(sim.stats().maxBitWidth),
-                    std::to_string(sim.stats().peakLiveNodes)});
+                    std::to_string(sim.bddManager().stats().peakLiveNodes)});
     }
   }
   os << "Ablation — bit-width policy on random circuits (3:1 gates)\n\n";

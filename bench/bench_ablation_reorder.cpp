@@ -26,11 +26,11 @@ RunResult simulate(const QuantumCircuit& c, bool reorder) {
   for (const Gate& g : c.gates()) {
     sim.applyGate(g);
     if (reorder && ++sinceReorder >= 50) {
-      sim.bddManager().reorderSift();
+      sim.reorder();
       sinceReorder = 0;
     }
   }
-  return RunResult{timer.seconds(), sim.stats().peakLiveNodes,
+  return RunResult{timer.seconds(), sim.bddManager().stats().peakLiveNodes,
                    sim.stateNodeCount()};
 }
 

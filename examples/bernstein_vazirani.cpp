@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
             << (correct == n ? "(exact!)" : "(MISMATCH — bug!)") << "\n";
   std::cout << "simulate: " << simSeconds << " s, sample: " << sampleSeconds
             << " s\n";
-  std::cout << "peak BDD nodes: " << sim.stats().peakLiveNodes
+  std::cout << "peak BDD nodes: " << sim.bddManager().stats().peakLiveNodes
             << ", final bit width r = " << sim.bitWidth() << "\n";
   return correct == n ? 0 : 1;
 }

@@ -1,5 +1,7 @@
 // The BDD node manager: unique tables, computed cache, garbage collection,
-// dynamic variable creation and (optional) sifting-based reordering.
+// dynamic variable creation and explicit sifting-based reordering
+// (reorderSift; a simulator's manager is sifted through
+// SliqSimulator::reorder(), which first unpins the measurement caches).
 //
 // This is the paper's "off-the-shelf BDD package" dependency (CUDD in the
 // original), rebuilt from scratch. Design notes:
@@ -57,9 +59,6 @@ class BddManager {
     unsigned cacheLog2 = 21;
     /// Run GC when live node count exceeds this (adapted upward after GC).
     std::size_t gcThreshold = 1u << 21;
-    /// Enable automatic sifting when live nodes grow past reorderThreshold.
-    bool autoReorder = false;
-    std::size_t reorderThreshold = 1u << 18;
   };
 
   BddManager();  // default Config
@@ -135,7 +134,6 @@ class BddManager {
   void garbageCollect();
   /// Sifting-based dynamic reordering (Rudell). Returns live-node delta.
   long reorderSift();
-  void setAutoReorder(bool on) { config_.autoReorder = on; }
 
   std::size_t liveNodeCount() const { return liveNodes_; }
   const ManagerStats& stats() const { return stats_; }

@@ -17,8 +17,6 @@ class EquivalenceChecker {
                          const EquivalenceOptions& options) {
     SLIQ_REQUIRE(first.numQubits() == second.numQubits(),
                  "equivalence check requires equal qubit counts");
-    SliqSimulator::Config config;
-    config.initialBitWidth = options.initialBitWidth;
 
     // Simulate both circuits in ONE manager so BDD canonicity makes the
     // final comparison a pointer comparison. A shared manager requires a
@@ -36,9 +34,8 @@ class EquivalenceChecker {
     SLIQ_REQUIRE(!first.isDynamic() && !second.isDynamic(),
                  "equivalence checking is defined for unitary circuits only "
                  "(dynamic circuits measure mid-run)");
-    SliqSimulator a(first.numQubits(), SliqSimulator::SymbolicInit{}, config);
-    SliqSimulator b(second.numQubits(), SliqSimulator::SymbolicInit{},
-                    config);
+    SliqSimulator a(first.numQubits(), SliqSimulator::SymbolicInit{}, {});
+    SliqSimulator b(second.numQubits(), SliqSimulator::SymbolicInit{}, {});
     a.run(first);
     b.run(second);
 

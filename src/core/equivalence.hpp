@@ -27,8 +27,6 @@ std::string toString(Equivalence e);
 struct EquivalenceOptions {
   /// Also search the ω^p global-phase orbit (p = 1..7).
   bool allowGlobalPhase = true;
-  /// Forwarded to the two symbolic simulators.
-  unsigned initialBitWidth = 2;
 };
 
 /// Decides functional equivalence of two same-width circuits. Cost: two

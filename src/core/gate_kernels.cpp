@@ -20,6 +20,41 @@ namespace sliq {
 
 using bdd::Bdd;
 
+// ---- shared Table II building blocks ---------------------------------------
+
+SliqSimulator::Slices SliqSimulator::complemented(Slices v) {
+  for (Bdd& bit : v) bit = ~bit;
+  return v;
+}
+
+// x − y = x + ¬y + 1.
+SliqSimulator::Slices SliqSimulator::difference(const Slices& x,
+                                                const Slices& y) const {
+  return rippleSum(x, complemented(y), one());
+}
+
+// Per vector: V̂ = ITE(P, ¬V, V) + P, i.e. G = P̄·F ∨ P·F̄, C₀ = P,
+// F̂ = Sum(G, 0, C).
+SliqSimulator::Slices SliqSimulator::negateWhere(const Bdd& cond,
+                                                 const Slices& v) const {
+  Slices g;
+  g.reserve(v.size());
+  for (const Bdd& bit : v) g.push_back(bit ^ cond);
+  return rippleSum(g, {}, cond);
+}
+
+// ITE(cond, ¬negate, keep) summed with carry-in cond realizes
+// "under cond: −negate, else keep".
+SliqSimulator::Slices SliqSimulator::selectNegated(const Bdd& cond,
+                                                   const Slices& negate,
+                                                   const Slices& keep) const {
+  Slices g;
+  g.reserve(keep.size());
+  for (std::size_t i = 0; i < keep.size(); ++i)
+    g.push_back(cond.ite(~negate[i], keep[i]));
+  return rippleSum(g, {}, cond);
+}
+
 // ---- whole-state scalar kernels --------------------------------------------
 
 // Multiply every amplitude by √2 = ω − ω³ and increment k: the represented
@@ -29,16 +64,10 @@ using bdd::Bdd;
 void SliqSimulator::multiplyStateBySqrt2() {
   const Slices a = extended(vec_[0]), b = extended(vec_[1]),
                c = extended(vec_[2]), d = extended(vec_[3]);
-  auto sub = [&](const Slices& x, const Slices& y) {  // x − y
-    Slices negY;
-    negY.reserve(y.size());
-    for (const bdd::Bdd& bit : y) negY.push_back(~bit);
-    return rippleSum(x, negY, one());
-  };
-  vec_[0] = sub(b, d);
+  vec_[0] = difference(b, d);
   vec_[1] = rippleSum(a, c, zero());
   vec_[2] = rippleSum(b, d, zero());
-  vec_[3] = sub(c, a);
+  vec_[3] = difference(c, a);
   ++k_;
   ++r_;
   trim();
@@ -51,10 +80,7 @@ void SliqSimulator::multiplyStateByOmega() {
   vec_[0] = extended(vec_[1]);
   vec_[1] = extended(vec_[2]);
   vec_[2] = extended(vec_[3]);
-  Slices negA;
-  negA.reserve(a.size());
-  for (const bdd::Bdd& bit : a) negA.push_back(~bit);
-  vec_[3] = rippleSum(negA, {}, one());
+  vec_[3] = rippleSum(complemented(a), {}, one());
   ++r_;
   trim();
   invalidateMonolithic();
@@ -121,14 +147,9 @@ void SliqSimulator::applySwap(const std::vector<unsigned>& controls,
 // ---- phase-flip gates (conditional negation) -------------------------------
 
 // Z (condition = qt), CZ (condition = qc·qt), multi-controlled Z: negate
-// amplitudes where the condition holds. Per vector: V̂ = ITE(P, ¬V, V) + P.
-// Table II Z/CZ rows: G = P̄·F ∨ P·F̄, C₀ = P, F̂ = Sum(G, 0, C).
+// amplitudes where the condition holds (Table II Z/CZ rows).
 void SliqSimulator::applyPhaseFlip(const Bdd& condition) {
-  for (auto& slices : vec_) {
-    Slices g = extended(slices);
-    for (Bdd& bit : g) bit = bit ^ condition;
-    slices = rippleSum(g, {}, condition);
-  }
+  for (auto& slices : vec_) slices = negateWhere(condition, extended(slices));
   ++r_;
   trim();
 }
@@ -143,25 +164,16 @@ void SliqSimulator::applyS(unsigned t, bool inverse) {
   const Bdd qt = qvar(t);
   const Slices a = extended(vec_[0]), b = extended(vec_[1]),
                c = extended(vec_[2]), d = extended(vec_[3]);
-  auto negUnder = [&](const Slices& keep, const Slices& negate) {
-    // ITE(qt, ¬negate, keep) summed with carry-in qt realizes
-    // "under qt: −negate, else keep".
-    Slices g;
-    g.reserve(keep.size());
-    for (std::size_t i = 0; i < keep.size(); ++i)
-      g.push_back(qt.ite(~negate[i], keep[i]));
-    return rippleSum(g, {}, qt);
-  };
   if (!inverse) {
     vec_[0] = select(qt, c, a);
     vec_[1] = select(qt, d, b);
-    vec_[2] = negUnder(c, a);
-    vec_[3] = negUnder(d, b);
+    vec_[2] = selectNegated(qt, a, c);
+    vec_[3] = selectNegated(qt, b, d);
   } else {
     vec_[2] = select(qt, a, c);
     vec_[3] = select(qt, b, d);
-    vec_[0] = negUnder(a, c);
-    vec_[1] = negUnder(b, d);
+    vec_[0] = selectNegated(qt, c, a);
+    vec_[1] = selectNegated(qt, d, b);
   }
   ++r_;
   trim();
@@ -174,23 +186,16 @@ void SliqSimulator::applyT(unsigned t, bool inverse) {
   const Bdd qt = qvar(t);
   const Slices a = extended(vec_[0]), b = extended(vec_[1]),
                c = extended(vec_[2]), d = extended(vec_[3]);
-  auto negUnder = [&](const Slices& keep, const Slices& negate) {
-    Slices g;
-    g.reserve(keep.size());
-    for (std::size_t i = 0; i < keep.size(); ++i)
-      g.push_back(qt.ite(~negate[i], keep[i]));
-    return rippleSum(g, {}, qt);
-  };
   if (!inverse) {
     vec_[0] = select(qt, b, a);
     vec_[1] = select(qt, c, b);
     vec_[2] = select(qt, d, c);
-    vec_[3] = negUnder(d, a);
+    vec_[3] = selectNegated(qt, a, d);
   } else {
     vec_[1] = select(qt, a, b);
     vec_[2] = select(qt, b, c);
     vec_[3] = select(qt, c, d);
-    vec_[0] = negUnder(a, d);
+    vec_[0] = selectNegated(qt, d, a);
   }
   ++r_;
   trim();
@@ -206,16 +211,10 @@ void SliqSimulator::applyY(unsigned t) {
   const Slices sb = swapHalves(extended(vec_[1]), t);
   const Slices sc = swapHalves(extended(vec_[2]), t);
   const Slices sd = swapHalves(extended(vec_[3]), t);
-  auto signedCopy = [&](const Slices& src, const Bdd& negateWhen) {
-    Slices g;
-    g.reserve(src.size());
-    for (const Bdd& bit : src) g.push_back(bit ^ negateWhen);
-    return rippleSum(g, {}, negateWhen);
-  };
-  vec_[0] = signedCopy(sc, nqt);  // a' = −swap(c) at t=0, +swap(c) at t=1
-  vec_[1] = signedCopy(sd, nqt);
-  vec_[2] = signedCopy(sa, qt);   // c' = +swap(a) at t=0, −swap(a) at t=1
-  vec_[3] = signedCopy(sb, qt);
+  vec_[0] = negateWhere(nqt, sc);  // a' = −swap(c) at t=0, +swap(c) at t=1
+  vec_[1] = negateWhere(nqt, sd);
+  vec_[2] = negateWhere(qt, sa);   // c' = +swap(a) at t=0, −swap(a) at t=1
+  vec_[3] = negateWhere(qt, sb);
   ++r_;
   trim();
 }
@@ -226,31 +225,17 @@ void SliqSimulator::applyY(unsigned t) {
 //   α'(x, t=0) = α(x,0) + α(x,1),  α'(x, t=1) = α(x,0) − α(x,1).
 // Component vectors: G = F|q̄t (both halves = old t=0 value) and
 // D = ±F|qt (negated on the t=1 half), summed with carry-in qt.
-void SliqSimulator::applyH(unsigned t) {
-  const Bdd qt = qvar(t);
-  for (auto& slices : vec_) {
-    const Slices f = extended(slices);
-    Slices g, d;
-    g.reserve(f.size());
-    d.reserve(f.size());
-    for (const Bdd& bit : f) {
-      g.push_back(bit.cofactor(t, false));
-      const Bdd hiCof = bit.cofactor(t, true);
-      d.push_back(qt.ite(~hiCof, hiCof));
-    }
-    slices = rippleSum(g, d, qt);
-  }
-  ++k_;
-  ++r_;
-  trim();
-}
+void SliqSimulator::applyH(unsigned t) { applyHadamardLike(t, qvar(t)); }
 
 // Ry(π/2) on t: matrix (1/√2)[[1, −1], [1, 1]]:
 //   α'(x,0) = α(x,0) − α(x,1),  α'(x,1) = α(x,0) + α(x,1).
 // Same structure as H with the negation on the t=0 half (carry-in q̄t).
+// ITE normalizes the complemented condition, so the recursion is H's.
 void SliqSimulator::applyRy90(unsigned t) {
-  const Bdd qt = qvar(t);
-  const Bdd nqt = ~qt;
+  applyHadamardLike(t, ~qvar(t));
+}
+
+void SliqSimulator::applyHadamardLike(unsigned t, const Bdd& negateWhen) {
   for (auto& slices : vec_) {
     const Slices f = extended(slices);
     Slices g, d;
@@ -259,9 +244,9 @@ void SliqSimulator::applyRy90(unsigned t) {
     for (const Bdd& bit : f) {
       g.push_back(bit.cofactor(t, false));
       const Bdd hiCof = bit.cofactor(t, true);
-      d.push_back(qt.ite(hiCof, ~hiCof));
+      d.push_back(negateWhen.ite(~hiCof, hiCof));
     }
-    slices = rippleSum(g, d, nqt);
+    slices = rippleSum(g, d, negateWhen);
   }
   ++k_;
   ++r_;
@@ -277,12 +262,8 @@ void SliqSimulator::applyRx90(unsigned t) {
                c = extended(vec_[2]), d = extended(vec_[3]);
   const Slices sa = swapHalves(a, t), sb = swapHalves(b, t),
                sc = swapHalves(c, t), sd = swapHalves(d, t);
-  auto negated = [](Slices v) {
-    for (Bdd& bit : v) bit = ~bit;
-    return v;
-  };
-  vec_[0] = rippleSum(a, negated(sc), one());
-  vec_[1] = rippleSum(b, negated(sd), one());
+  vec_[0] = difference(a, sc);
+  vec_[1] = difference(b, sd);
   vec_[2] = rippleSum(c, sa, zero());
   vec_[3] = rippleSum(d, sb, zero());
   ++k_;

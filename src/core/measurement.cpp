@@ -22,12 +22,17 @@ using bdd::Bdd;
 SliqSimulator::~SliqSimulator() = default;
 
 void SliqSimulator::invalidateMonolithic() {
-  monolithicValid_ = false;
-  ++stateVersion_;
-  // Eagerly release the stale hyper-function cone (and the context's
-  // handles into it) so GC can reclaim it while further gates run.
-  monolithicCache_ = Bdd();
+  // Eagerly release the context's handles into the stale hyper-function so
+  // GC can reclaim its cone while further gates run.
   if (ctx_) ctx_->dropCaches();
+}
+
+void SliqSimulator::reorder() {
+  // Unpin the hyper-function first: sifting would otherwise move its
+  // encoding-variable nodes like any others, possibly above the qubit
+  // variables, where Eq. 12's layout no longer holds.
+  invalidateMonolithic();
+  mgr_.reorderSift();
 }
 
 void SliqSimulator::ensureEncodingVars() {
@@ -49,7 +54,6 @@ void SliqSimulator::ensureEncodingVars() {
 }
 
 Bdd SliqSimulator::monolithic() {
-  if (monolithicValid_) return monolithicCache_;
   ensureEncodingVars();
   Bdd result = zero();
   for (unsigned vecIdx = 0; vecIdx < 4; ++vecIdx) {
@@ -66,8 +70,6 @@ Bdd SliqSimulator::monolithic() {
     }
     result |= vecPart;
   }
-  monolithicCache_ = result;
-  monolithicValid_ = true;
   return result;
 }
 

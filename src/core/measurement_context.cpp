@@ -33,7 +33,7 @@ Zroot2 shiftLeft(const Zroot2& w, unsigned bits) {
 MeasurementContext::MeasurementContext(SliqSimulator& sim) : sim_(&sim) {}
 
 bool MeasurementContext::current() const {
-  return builtVersion_ == sim_->stateVersion_ &&
+  return mono_.valid() &&
          builtReorderings_ == sim_->mgr_.stats().reorderings;
 }
 
@@ -41,7 +41,7 @@ void MeasurementContext::dropCaches() {
   // Trace only invalidations of a memo that was actually built: dropCaches
   // runs after every gate, but an empty drop is not an event worth a trace
   // row (and would swamp the trace on gate-heavy circuits).
-  if (builtVersion_ != ~std::uint64_t{0}) {
+  if (mono_.valid()) {
     if (metrics::Registry* reg = sim_->metricsRegistry()) {
       reg->gaugeMax("memo.peak_entries",
                     static_cast<double>(weightMemo_.size() + ampMemo_.size() +
@@ -55,15 +55,14 @@ void MeasurementContext::dropCaches() {
   ampMemo_.clear();
   branchProbMemo_.clear();
   totalValid_ = false;
-  builtVersion_ = ~std::uint64_t{0};
 }
 
 void MeasurementContext::refreshIfStale() {
   if (current()) return;
   const metrics::ScopedSpan span(sim_->metricsRegistry(), "memo.fill");
-  // monolithic() rebuilds the hyper-function BDD if needed (and rejects
-  // symbolic mode); holding it as a handle pins every node the memos will
-  // reference across garbage collections.
+  // monolithic() builds the hyper-function BDD, checking its layout (and
+  // rejecting symbolic mode); holding it as a handle pins every node the
+  // memos will reference across garbage collections.
   mono_ = sim_->monolithic();
   restrictedOne_.assign(sim_->n_, Bdd());
   weightMemo_.clear();
@@ -71,7 +70,6 @@ void MeasurementContext::refreshIfStale() {
   branchProbMemo_.clear();
   assignment_.assign(sim_->mgr_.varCount(), false);
   totalValid_ = false;
-  builtVersion_ = sim_->stateVersion_;
   builtReorderings_ = sim_->mgr_.stats().reorderings;
 }
 
@@ -194,30 +192,21 @@ double MeasurementContext::probabilityOne(unsigned qubit) {
   SLIQ_REQUIRE(qubit < sim_->n_, "qubit out of range");
   refreshIfStale();
   Bdd& f1 = restrictedOne_[qubit];
-  if (!f1.valid()) {
-    f1 = mono_ & sim_->qvar(qubit);  // zero out amplitudes with qubit = 0
-    // The conjunction is a GC point and, with auto-reorder enabled, may
-    // even re-level the order; memoized weights depend on levels, so a
-    // reorder mid-build empties the memos (handles keep the roots alive).
-    if (builtReorderings_ != sim_->mgr_.stats().reorderings) {
-      if (metrics::Registry* reg = sim_->metricsRegistry())
-        reg->instant("memo.invalidate");
-      weightMemo_.clear();
-      ampMemo_.clear();
-      branchProbMemo_.clear();
-      totalValid_ = false;
-      builtReorderings_ = sim_->mgr_.stats().reorderings;
-    }
-  }
+  // Zero out amplitudes with qubit = 0. The conjunction may collect garbage
+  // but never reorders, so the memoized levels stay valid.
+  if (!f1.valid()) f1 = mono_ & sim_->qvar(qubit);
   const Zroot2 one = rootWeight(f1);
   if (one.isZero()) return 0.0;
   return ratio(one, totalWeightScaled());
 }
 
 Zroot2 MeasurementContext::computeTotalFresh() {
-  // Independent context with empty memos — a from-scratch recomputation.
+  // A context with empty memos over the same pinned hyper-function — a
+  // from-scratch traversal that makes no manager call.
   MeasurementContext fresh(*sim_);
-  return fresh.totalWeightScaled();
+  fresh.mono_ = mono_;
+  fresh.assignment_ = assignment_;
+  return fresh.rootWeight(fresh.mono_);
 }
 
 double MeasurementContext::normalizationCorrection() {

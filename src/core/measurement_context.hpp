@@ -4,11 +4,12 @@
 // monolithic hyper-function BDD (Eq. 12). This class makes that memo
 // *persistent*: it owns a handle to the monolithic BDD plus the
 // weightBelow/ampSq memo tables, so K shots cost one exact Z[√2] weight
-// traversal plus K·n cheap descents instead of K full traversals. The
-// caches are invalidated only when the simulator state mutates (gate
-// application, collapse, k-alignment) or the variable order changes —
-// detected via the simulator's state version and the manager's reordering
-// counter, so a stale context silently rebuilds on next use.
+// traversal plus K·n cheap descents instead of K full traversals. This
+// context is the only owner of the hyper-function and of its validity:
+// every state mutation (gate application, collapse, k-alignment, snapshot
+// load) drops the caches through SliqSimulator::invalidateMonolithic, and a
+// change of the manager's reordering counter marks them stale, so the next
+// query rebuilds — and re-checks the Eq. 12 variable layout.
 //
 // Memo safety: entries are keyed by raw edge words, which stay valid as
 // long as the underlying nodes are live. The context therefore keeps Bdd
@@ -85,7 +86,8 @@ class MeasurementContext {
   Zroot2 ampSq(bdd::Edge e);
   /// Σ over all qubit assignments of |α|²·2ᵏ below `f`'s root.
   Zroot2 rootWeight(const bdd::Bdd& f);
-  /// Independent un-memoized recomputation (debug cross-check).
+  /// Recomputation from empty memos over the pinned mono_ (debug
+  /// cross-check; builds no second hyper-function).
   Zroot2 computeTotalFresh();
 
   SliqSimulator* sim_;
@@ -100,7 +102,6 @@ class MeasurementContext {
   std::vector<bool> assignment_;     // scratch for ampSq point evaluation
   Zroot2 total_;
   bool totalValid_ = false;
-  std::uint64_t builtVersion_ = ~std::uint64_t{0};
   std::uint64_t builtReorderings_ = 0;
 };
 

@@ -137,9 +137,6 @@ void SliqSimulator::applyGate(const Gate& gate) {
   validateGate(gate, n_);
   switch (gate.kind) {
     case GateKind::kX:
-      if (gate.controls.empty()) applyX(gate.target());
-      else applyCnot(gate.controls, gate.target());
-      break;
     case GateKind::kCnot:
       if (gate.controls.empty()) applyX(gate.target());
       else applyCnot(gate.controls, gate.target());
@@ -171,8 +168,6 @@ void SliqSimulator::applyGate(const Gate& gate) {
   }
   ++stats_.gatesApplied;
   stats_.maxBitWidth = std::max(stats_.maxBitWidth, r_);
-  stats_.peakLiveNodes =
-      std::max(stats_.peakLiveNodes, mgr_.liveNodeCount());
   invalidateMonolithic();
 }
 
@@ -223,10 +218,6 @@ void SliqSimulator::auditInvariants() const {
     audit::fail(kStructure, "k-scalar " + std::to_string(k_) +
                                 " outside its reachable range [0, " +
                                 std::to_string(kBound) + "]");
-  }
-  if (monolithicValid_ && !monolithicCache_.valid()) {
-    audit::fail(kStructure,
-                "monolithic cache flagged valid but handle is detached");
   }
 }
 

@@ -120,10 +120,17 @@ class SliqSimulator {
   struct Stats {
     std::size_t gatesApplied = 0;
     unsigned maxBitWidth = 0;
-    std::size_t peakLiveNodes = 0;
   };
   const Stats& stats() const { return stats_; }
+  /// The underlying BDD package (node statistics, inspection). Reorder
+  /// through reorder(), not bddManager().reorderSift(): a direct sift after
+  /// a probability query may lift the pinned encoding variables above the
+  /// qubit variables, and every later measurement then fails the Eq. 12
+  /// layout check with std::logic_error.
   bdd::BddManager& bddManager() { return mgr_; }
+  /// Sifting reordering (Rudell) of the state's BDDs. Drops the measurement
+  /// caches first so no encoding-variable node is pinned while it runs.
+  void reorder();
   /// Observability hook (DESIGN.md §11): forwards to the BDD manager (GC
   /// spans) and lets the MeasurementContext emit memo fill/invalidate
   /// events. Never owned; nullptr disables.
@@ -137,7 +144,7 @@ class SliqSimulator {
   /// Read-only access to slice BDD F_{x_bit} for vector x ∈ {0:a,1:b,2:c,
   /// 3:d} — research/inspection API (e.g. regenerating the paper's Fig. 1).
   const bdd::Bdd& slice(unsigned vectorIndex, unsigned bit) const;
-  /// The measurement hyper-function BDD of Eq. 12 (builds it if needed) —
+  /// The measurement hyper-function BDD of Eq. 12 (built afresh) —
   /// inspection analogue of the paper's Fig. 2. Not available in symbolic
   /// mode.
   bdd::Bdd monolithicForInspection() { return monolithic(); }
@@ -183,6 +190,15 @@ class SliqSimulator {
   /// Slice-wise ripple-carry sum G + D + carry0 (D empty means zero).
   Slices rippleSum(const Slices& g, const Slices& d,
                    const bdd::Bdd& carry0) const;
+  /// Slice-wise complement ¬v (= −v − 1 in two's complement).
+  static Slices complemented(Slices v);
+  /// Slice-wise two's-complement difference x − y.
+  Slices difference(const Slices& x, const Slices& y) const;
+  /// v negated where `cond` holds, kept elsewhere.
+  Slices negateWhere(const bdd::Bdd& cond, const Slices& v) const;
+  /// −negate where `cond` holds, keep elsewhere.
+  Slices selectNegated(const bdd::Bdd& cond, const Slices& negate,
+                       const Slices& keep) const;
   /// Drop redundant top slices (all four vectors sign-extended).
   void trim();
 
@@ -205,14 +221,17 @@ class SliqSimulator {
   void applyH(unsigned t);
   void applyRx90(unsigned t);
   void applyRy90(unsigned t);
+  /// H (negateWhen = qt) and Ry90 (negateWhen = q̄t): G + D with D = F|qt
+  /// negated where negateWhen holds.
+  void applyHadamardLike(unsigned t, const bdd::Bdd& negateWhen);
 
   // -- measurement internals (measurement.cpp) --
   void ensureEncodingVars();
-  /// Builds (and caches) the hyper-function BDD of Eq. 12.
+  /// Builds the hyper-function BDD of Eq. 12, checking the variable layout
+  /// on every call. MeasurementContext holds the only cached copy.
   bdd::Bdd monolithic();
-  /// Every state mutation lands here: bumps the version the persistent
-  /// MeasurementContext checks, and eagerly drops the now-stale cached
-  /// BDD handles so dead cones do not stay pinned across later gates.
+  /// Every state mutation lands here: drops the MeasurementContext's
+  /// caches so dead cones do not stay pinned across later gates.
   /// Out of line: needs MeasurementContext complete (measurement.cpp).
   void invalidateMonolithic();
 
@@ -223,12 +242,7 @@ class SliqSimulator {
   std::int64_t k_ = 0;
   std::array<Slices, 4> vec_;  // a, b, c, d
   std::vector<unsigned> encVars_;  // x0, x1, e0, e1, ... (created lazily)
-  bdd::Bdd monolithicCache_;
-  bool monolithicValid_ = false;
   bool symbolic_ = false;
-  /// Incremented on every state mutation; MeasurementContext compares it
-  /// against the version its caches were built at.
-  std::uint64_t stateVersion_ = 0;
   std::unique_ptr<MeasurementContext> ctx_;
   Stats stats_;
   metrics::Registry* metricsRegistry_ = nullptr;

@@ -25,17 +25,21 @@ TEST(BddEdge, IteConstantArguments) {
 
 TEST(BddEdge, DeepChainNoStackOverflow) {
   // 20000 variables: the recursion in ITE/cofactor follows one chain.
+  // Both chains are built bottom-up, so each step is a constant-depth ITE
+  // and construction stays linear; the full-depth recursions come after.
   constexpr unsigned kVars = 20000;
   BddManager mgr(BddManager::Config{.initialVars = kVars});
   Bdd acc(&mgr, kTrueEdge);
-  for (unsigned v = 0; v < kVars; ++v) acc = acc & makeVar(mgr, v);
+  for (unsigned v = kVars; v-- > 0;) acc = makeVar(mgr, v) & acc;
   EXPECT_EQ(acc.nodeCount(), kVars);
+  // Conjoining the bottom variable again recurses ITE through every level.
+  EXPECT_EQ(acc & makeVar(mgr, kVars - 1), acc);
   // Cofactor at the bottom forces a full-depth traversal.
   Bdd cof = acc.cofactor(kVars - 1, true);
   EXPECT_EQ(cof.nodeCount(), kVars - 1);
   // XOR chain (complement-edge heavy) at the same depth.
   Bdd x(&mgr, kFalseEdge);
-  for (unsigned v = 0; v < kVars; ++v) x = x ^ makeVar(mgr, v);
+  for (unsigned v = kVars; v-- > 0;) x = makeVar(mgr, v) ^ x;
   std::vector<bool> point(kVars, true);
   EXPECT_EQ(x.eval(point), kVars % 2 == 1);
 }

@@ -89,7 +89,7 @@ TEST(BitWidth, StatsTrackPeaks) {
   SliqSimulator sim(3);
   sim.run(randomCircuit(3, 30, 2));
   EXPECT_GE(sim.stats().maxBitWidth, sim.bitWidth());
-  EXPECT_GT(sim.stats().peakLiveNodes, 0u);
+  EXPECT_GT(sim.bddManager().stats().peakLiveNodes, 0u);
   EXPECT_EQ(sim.stats().gatesApplied, 33u);
 }
 

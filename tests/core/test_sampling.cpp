@@ -7,15 +7,18 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "circuit/generators.hpp"
 #include "core/engine_registry.hpp"
 #include "core/measurement_context.hpp"
 #include "core/observable.hpp"
 #include "core/simulator.hpp"
 #include "statevector/statevector.hpp"
 #include "support/rng.hpp"
+#include "support/serialize.hpp"
 
 namespace sliq {
 namespace {
@@ -307,6 +310,55 @@ TEST(Sampling, PersistentContextInvalidatesOnMutation) {
   EXPECT_NEAR(sim.normalizationCorrection() /
                   std::sqrt(1.0 / sim.totalProbability()),
               1.0, 1e-9);
+
+  // Sifting after a query: reorder() unpins the hyper-function before it
+  // sifts, so every answer still matches, then and after one more gate.
+  const QuantumCircuit rc = randomCircuit(8, 24, 1);
+  SliqSimulator sifted(rc.numQubits());
+  StatevectorSimulator siftedDense(rc.numQubits());
+  sifted.run(rc);
+  siftedDense.run(rc);
+  auto expectSiftedMatch = [&](SliqSimulator& s) {
+    for (unsigned q = 0; q < rc.numQubits(); ++q)
+      EXPECT_NEAR(s.probabilityOne(q), siftedDense.probabilityOne(q), 1e-9)
+          << q;
+  };
+  expectSiftedMatch(sifted);
+  sifted.reorder();
+  EXPECT_FALSE(sifted.measurementContext().current());
+  expectSiftedMatch(sifted);
+  const Gate more{GateKind::kH, {2}, {}};
+  sifted.applyGate(more);
+  siftedDense.applyGate(more);
+  expectSiftedMatch(sifted);
+
+  // A direct sift while the hyper-function is pinned may lift the encoding
+  // variables above the qubit variables: the layout check must then throw
+  // rather than a query return a wrong value.
+  SliqSimulator direct(rc.numQubits());
+  direct.run(rc);
+  direct.applyGate(more);
+  expectSiftedMatch(direct);
+  direct.bddManager().reorderSift();
+  for (unsigned q = 0; q < rc.numQubits(); ++q) {
+    try {
+      EXPECT_NEAR(direct.probabilityOne(q), siftedDense.probabilityOne(q),
+                  1e-9)
+          << q;
+    } catch (const std::logic_error&) {
+      // The layout check fired: loud rather than wrong.
+    }
+  }
+
+  // A snapshot round trip replaces the state: the caches are stale, the
+  // answers unchanged.
+  EXPECT_TRUE(sifted.measurementContext().current());
+  serialize::Writer out;
+  sifted.saveStatePayload(out);
+  serialize::Reader in(out.data());
+  sifted.loadStatePayload(in);
+  EXPECT_FALSE(sifted.measurementContext().current());
+  expectSiftedMatch(sifted);
 }
 
 TEST(Sampling, ExactBatchedMatchesRepeatedSampleAll) {
