@@ -8,9 +8,9 @@
 //
 // Reading the numbers: the generic fallback pays 2·|support| gate
 // applications plus one probabilityOne per string — on the exact engine
-// every X/Y rotation additionally invalidates the persistent measurement
-// context, so diagonal (Z-only) observables are where the native signed
-// traversal wins biggest (no state mutation at all).
+// every such rotation also invalidates the persistent measurement context.
+// The native path mutates nothing: one read-only pair descent per string,
+// and diagonal (Z-only) strings additionally reuse the warm weight memo.
 //
 // Knobs: SLIQ_BENCH_SCALE percent scales the repetition count (ctest smoke
 // runs at 25%); SLIQ_BENCH_JSON overrides the JSON output path.
@@ -67,7 +67,8 @@ PauliObservable isingObservable(unsigned n) {
   return obs;
 }
 
-/// Diagonal-only variant: the exact engine's zero-mutation fast path.
+/// Diagonal-only variant: on the exact engine every pair is diagonal, so
+/// the descent reads the warm weight memo below the deepest factor.
 PauliObservable diagonalObservable(unsigned n) {
   PauliObservable obs;
   for (unsigned q = 0; q + 1 < n; ++q) {

@@ -14,6 +14,7 @@
 
 #include "bdd/dot.hpp"
 #include "circuit/circuit.hpp"
+#include "core/measurement_context.hpp"
 #include "core/simulator.hpp"
 
 int main(int argc, char** argv) {
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
             << sim.bitWidth() << ", k = " << sim.kScalar() << "\n";
 
   // --- Fig. 2: the monolithic measurement BDD --------------------------
-  const bdd::Bdd mono = sim.monolithicForInspection();
+  const bdd::Bdd mono = sim.measurementContext().hyperFunction();
   const std::string path = outdir + "/fig2_monolithic.dot";
   std::ofstream os(path);
   bdd::writeDot(sim.bddManager(), mono.edge(), os, varNames);

@@ -83,7 +83,8 @@ class ExactEngine final : public Engine {
   double expectationImpl(const PauliObservable& observable) override {
     double sum = 0;
     for (const PauliString& term : observable.terms()) {
-      sum += term.coefficient * stringExpectation(term);
+      // One read-only pair descent of the Eq. 12 hyper-function per term.
+      sum += term.coefficient * sim_.measurementContext().expectation(term);
     }
     return sum;
   }
@@ -134,37 +135,6 @@ class ExactEngine final : public Engine {
   }
 
  private:
-  /// ⟨P⟩ of one string, exactly. Z factors need no state change at all —
-  /// one signed weight traversal of the monolithic hyper-function
-  /// (MeasurementContext::expectationZ). X/Y factors are first rotated into
-  /// the Z basis with the simulator's own exact Clifford kernels (H for X,
-  /// S†·H for Y) and rotated back afterwards: phase arithmetic in the
-  /// algebraic representation is exact, so the round trip restores every
-  /// amplitude bit for bit (the representation picks up a benign
-  /// 2/√2² rescaling per H pair).
-  double stringExpectation(const PauliString& term) {
-    if (term.isIdentity()) return 1.0;
-    std::vector<bool> zmask(sim_.numQubits(), false);
-    std::vector<Gate> applied;
-    for (const PauliFactor& f : term.factors) {
-      zmask[f.qubit] = true;
-      if (f.op == Pauli::kX) {
-        applied.push_back(Gate{GateKind::kH, {f.qubit}, {}});
-      } else if (f.op == Pauli::kY) {
-        applied.push_back(Gate{GateKind::kSdg, {f.qubit}, {}});
-        applied.push_back(Gate{GateKind::kH, {f.qubit}, {}});
-      }
-    }
-    for (const Gate& g : applied) sim_.applyGate(g);
-    const double value = sim_.measurementContext().expectationZ(zmask);
-    for (auto it = applied.rbegin(); it != applied.rend(); ++it) {
-      sim_.applyGate(Gate{it->kind == GateKind::kSdg ? GateKind::kS
-                                                     : GateKind::kH,
-                          it->targets, {}});
-    }
-    return value;
-  }
-
   void runStatic(const QuantumCircuit& circuit) override {
     // The exact engine applies gates verbatim (no fusion pass).
     metrics().add("gates.post_fusion", circuit.gateCount());

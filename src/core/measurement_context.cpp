@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "algebra/algebraic.hpp"
+#include "core/observable.hpp"
 #include "core/simulator.hpp"
 #include "support/assert.hpp"
 #include "support/metrics.hpp"
@@ -75,9 +77,7 @@ void MeasurementContext::refreshIfStale() {
 
 // lint: memo-traversal — reads the DD through evalPoint only; creating
 // nodes here could trigger a GC that moves the very edges being memoized.
-Zroot2 MeasurementContext::ampSq(Edge e) {
-  const auto it = ampMemo_.find(e.raw);
-  if (it != ampMemo_.end()) return it->second;
+AlgebraicComplex MeasurementContext::amplitude(Edge e) {
   const auto& mgr = sim_->mgr_;
   const std::vector<unsigned>& encVars = sim_->encVars_;
   const unsigned r = sim_->r_;
@@ -93,8 +93,15 @@ Zroot2 MeasurementContext::ampSq(Edge e) {
     }
     coef[vecIdx] = BigInt::fromTwosComplementBits(bits);
   }
-  const AlgebraicComplex alpha(coef[0], coef[1], coef[2], coef[3], 0);
-  Zroot2 w = alpha.normSqScaled();
+  return {std::move(coef[0]), std::move(coef[1]), std::move(coef[2]),
+          std::move(coef[3]), 0};
+}
+
+// lint: memo-traversal
+Zroot2 MeasurementContext::ampSq(Edge e) {
+  const auto it = ampMemo_.find(e.raw);
+  if (it != ampMemo_.end()) return it->second;
+  Zroot2 w = amplitude(e).normSqScaled();
   ampMemo_.emplace(e.raw, w);
   return w;
 }
@@ -116,54 +123,124 @@ Zroot2 MeasurementContext::weightBelow(Edge e) {
   return sum;
 }
 
-// lint: memo-traversal
-Zroot2 MeasurementContext::signedWeightBelow(
-    Edge e, const std::vector<bool>& zmask,
-    std::unordered_map<std::uint32_t, Zroot2>& memo) {
+struct MeasurementContext::PairSum {
+  Zroot2 re;  // √2·Re
+  Zroot2 im;  // √2·Im
+
+  /// √2·(Re, Im) of an exact Z[ω] value x = aω³ + bω² + cω + d:
+  /// Re = d + (c − a)/√2 and Im = b + (c + a)/√2.
+  static PairSum of(const AlgebraicComplex& x) {
+    return {Zroot2(x.c() - x.a(), x.d()), Zroot2(x.c() + x.a(), x.b())};
+  }
+  /// √2·w for a real w in Z[√2].
+  static PairSum real(const Zroot2& w) {
+    return {Zroot2(w.irrational() << 1, w.rational()), Zroot2()};
+  }
+  PairSum shifted(unsigned bits) const {
+    return {shiftLeft(re, bits), shiftLeft(im, bits)};
+  }
+  /// sign·i times this value (sign = ±1).
+  PairSum timesI(int sign) const {
+    return sign < 0 ? PairSum{im, -re} : PairSum{-im, re};
+  }
+  PairSum& operator+=(const PairSum& o) {
+    re += o.re;
+    im += o.im;
+    return *this;
+  }
+  PairSum& operator-=(const PairSum& o) {
+    re -= o.re;
+    im -= o.im;
+    return *this;
+  }
+};
+
+struct MeasurementContext::PauliDescent {
+  std::vector<Pauli> opAtLevel;  // identity where the string has no factor
+  unsigned deepestLevel = 0;     // deepest level with a non-identity factor
+  std::unordered_map<std::uint64_t, PairSum> memo;
+};
+
+// lint: memo-traversal — reads the DD through the structural accessors and
+// the two memos only; no gate, no node creation, no cache drop.
+MeasurementContext::PairSum MeasurementContext::pairBelow(
+    Edge bra, Edge ket, unsigned fromLevel, PauliDescent& call) {
+  if (bra == bdd::kFalseEdge || ket == bdd::kFalseEdge) return {};
   const auto& mgr = sim_->mgr_;
   const unsigned n = sim_->n_;
-  if (mgr.edgeLevel(e) >= n) return ampSq(e);
-  const auto it = memo.find(e.raw);
-  if (it != memo.end()) return it->second;
-  const unsigned level = mgr.edgeLevel(e);
-  // A level skipped by a child edge means the amplitude is independent of
-  // that qubit: an unmasked qubit doubles the weight, a masked one cancels
-  // the +/− pair exactly.
-  auto childTerm = [&](Edge child) -> Zroot2 {
-    const unsigned childLevel = std::min(mgr.edgeLevel(child), n);
-    unsigned doublings = 0;
-    for (unsigned skipped = level + 1; skipped < childLevel; ++skipped) {
-      if (zmask[mgr.varAtLevel(skipped)]) return Zroot2();
-      ++doublings;
-    }
-    return shiftLeft(signedWeightBelow(child, zmask, memo), doublings);
-  };
-  const Zroot2 thenWeight = childTerm(mgr.thenEdge(e));
-  const Zroot2 elseWeight = childTerm(mgr.elseEdge(e));
-  // Z on this qubit: the qubit=1 half enters with a − sign.
-  const Zroot2 sum = zmask[mgr.varAtLevel(level)] ? elseWeight - thenWeight
-                                                  : elseWeight + thenWeight;
-  memo.emplace(e.raw, sum);
-  return sum;
+  const unsigned level =
+      std::min({mgr.edgeLevel(bra), mgr.edgeLevel(ket), n});
+  // Levels both edges skip leave the amplitudes independent of that qubit:
+  // I and X double the sum, Z and Y cancel it exactly.
+  for (unsigned skipped = fromLevel; skipped < level; ++skipped) {
+    const Pauli op = call.opAtLevel[skipped];
+    if (op == Pauli::kZ || op == Pauli::kY) return {};
+  }
+  const unsigned doublings = level - fromLevel;
+  // Below every non-identity factor a diagonal pair is a plain weight.
+  if (bra == ket && level > call.deepestLevel)
+    return PairSum::real(weightBelow(bra)).shifted(doublings);
+  if (level >= n) {
+    return PairSum::of(amplitude(bra).conjugate() * amplitude(ket))
+        .shifted(doublings);
+  }
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(bra.raw) << 32) | ket.raw;
+  const auto it = call.memo.find(key);
+  if (it != call.memo.end()) return it->second.shifted(doublings);
+  const bool braHere = mgr.edgeLevel(bra) == level;
+  const bool ketHere = mgr.edgeLevel(ket) == level;
+  const Edge bra0 = braHere ? mgr.elseEdge(bra) : bra;
+  const Edge bra1 = braHere ? mgr.thenEdge(bra) : bra;
+  const Edge ket0 = ketHere ? mgr.elseEdge(ket) : ket;
+  const Edge ket1 = ketHere ? mgr.thenEdge(ket) : ket;
+  const unsigned below = level + 1;
+  PairSum sum;
+  switch (call.opAtLevel[level]) {
+    case Pauli::kI:
+      sum = pairBelow(bra0, ket0, below, call);
+      sum += pairBelow(bra1, ket1, below, call);
+      break;
+    case Pauli::kZ:  // the qubit=1 half enters with a − sign
+      sum = pairBelow(bra0, ket0, below, call);
+      sum -= pairBelow(bra1, ket1, below, call);
+      break;
+    case Pauli::kX:
+      sum = pairBelow(bra0, ket1, below, call);
+      sum += pairBelow(bra1, ket0, below, call);
+      break;
+    case Pauli::kY:  // Y = [[0, −i], [i, 0]]
+      sum = pairBelow(bra0, ket1, below, call).timesI(-1);
+      sum += pairBelow(bra1, ket0, below, call).timesI(+1);
+      break;
+  }
+  call.memo.emplace(key, sum);
+  return sum.shifted(doublings);
 }
 
-double MeasurementContext::expectationZ(const std::vector<bool>& zmask) {
-  SLIQ_REQUIRE(zmask.size() == sim_->n_, "zmask width mismatch");
+double MeasurementContext::expectation(const PauliString& term) {
+  if (term.isIdentity()) return 1.0;  // ⟨I⟩, exactly
+  const unsigned n = sim_->n_;
+  SLIQ_REQUIRE(term.factors.back().qubit < n, "Pauli factor out of range");
   refreshIfStale();
-  bool any = false;
-  for (const bool bit : zmask) any = any || bit;
-  if (!any) return 1.0;  // ⟨I⟩, exactly
-  const Edge root = mono_.edge();
-  const unsigned rootLevel = std::min(sim_->mgr_.edgeLevel(root), sim_->n_);
-  // Masked qubits skipped above the root cancel the whole signed sum.
-  for (unsigned level = 0; level < rootLevel; ++level) {
-    if (zmask[sim_->mgr_.varAtLevel(level)]) return 0.0;
+  PauliDescent call;
+  call.opAtLevel.assign(n, Pauli::kI);
+  for (const PauliFactor& f : term.factors) {
+    const unsigned level = sim_->mgr_.levelOfVar(f.qubit);
+    call.opAtLevel[level] = f.op;
+    call.deepestLevel = std::max(call.deepestLevel, level);
   }
-  std::unordered_map<std::uint32_t, Zroot2> memo;
-  const Zroot2 signedSum =
-      shiftLeft(signedWeightBelow(root, zmask, memo), rootLevel);
-  if (signedSum.isZero()) return 0.0;
-  return ratio(signedSum, totalWeightScaled());
+  const PairSum sum = pairBelow(mono_.edge(), mono_.edge(), 0, call);
+  // P is Hermitian, so ⟨ψ|P|ψ⟩ is real. The descent ran outside the
+  // assertion, whose argument must stay side-effect-free.
+  SLIQ_ASSERT(sum.im.isZero());
+  if (sum.re.isZero()) return 0.0;
+  return ratio(sum.re, PairSum::real(totalWeightScaled()).re);
+}
+
+const Bdd& MeasurementContext::hyperFunction() {
+  refreshIfStale();
+  return mono_;
 }
 
 Zroot2 MeasurementContext::rootWeight(const Bdd& f) {

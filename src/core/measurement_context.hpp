@@ -29,7 +29,9 @@
 
 namespace sliq {
 
+class AlgebraicComplex;
 class SliqSimulator;
+struct PauliString;
 
 class MeasurementContext {
  public:
@@ -46,15 +48,22 @@ class MeasurementContext {
   /// √(2ᵏ / current weight); see SliqSimulator::normalizationCorrection.
   double normalizationCorrection();
 
-  /// Exact ⟨⊗_{q: zmask[q]} Z_q⟩ on the current state, by ONE signed
-  /// non-collapsing weight traversal of the monolithic hyper-function:
-  /// identical to the weightBelow recursion except that a THEN branch under
-  /// a masked qubit variable enters negatively (Z phase bookkeeping) and a
-  /// masked variable skipped by an edge zeroes the branch (the qubit's two
-  /// outcomes are equally weighted there, so +w and −w cancel exactly).
-  /// The signed sum and the total weight live in Z[√2]; their ratio is
-  /// rounded once. `zmask` is indexed by qubit; an empty mask yields 1.
-  double expectationZ(const std::vector<bool>& zmask);
+  /// Exact ⟨P⟩ of one Pauli string (its coefficient ignored) as a pure
+  /// query: one pair-memoized descent of the monolithic hyper-function
+  /// computes Σₓ conj(α(x))·(Pα)(x) over (bra, ket) edge pairs. At a qubit's
+  /// level I and Z pair same-branch children (Z negates the qubit=1 half);
+  /// X and Y pair opposite branches (Y weights the bra's qubit=0 half by −i
+  /// and its qubit=1 half by +i). A level both children skip contributes ×2
+  /// under I or X and 0 under Z or Y. Boundary pairs combine the two decoded
+  /// Z[ω] amplitudes exactly, and a diagonal pair below the deepest
+  /// non-identity level is read from the persistent weight memo. The Z[√2]
+  /// ratio to the total weight is rounded once. No gate is applied, no BDD
+  /// node is created and no cache is dropped.
+  double expectation(const PauliString& term);
+
+  /// The pinned Eq. 12 hyper-function BDD (built on demand) — the
+  /// inspection analogue of the paper's Fig. 2.
+  const bdd::Bdd& hyperFunction();
 
   /// One full-register shot (bit q = outcome of qubit q) by weighted
   /// descent of the monolithic BDD; does not collapse the register.
@@ -75,14 +84,22 @@ class MeasurementContext {
 
  private:
   void refreshIfStale();
-  /// Signed weight over qubit variables at levels [level(e), n) under
-  /// `zmask`; `memo` is per-call (keyed by edge word) because the values
-  /// depend on the mask, unlike the persistent unsigned weightMemo_.
-  Zroot2 signedWeightBelow(bdd::Edge e, const std::vector<bool>& zmask,
-                           std::unordered_map<std::uint32_t, Zroot2>& memo);
+  /// √2·Re and √2·Im of a partial Σ conj(bra)·P·ket — both lie in Z[√2].
+  struct PairSum;
+  /// Per-call state of expectation(): the Pauli operator at each level and
+  /// the pair memo, keyed by the two 32-bit edge words.
+  struct PauliDescent;
+  /// Σ over qubit variables at levels [fromLevel, n) of
+  /// conj(α_bra)·(P α_ket), for edges that both start at or below
+  /// `fromLevel`.
+  PairSum pairBelow(bdd::Edge bra, bdd::Edge ket, unsigned fromLevel,
+                    PauliDescent& call);
   /// Weight over qubit variables at levels [level(e), n).
   Zroot2 weightBelow(bdd::Edge e);
-  /// |α|²·2ᵏ of the boundary node e (which encodes the four integers).
+  /// α·√2ᵏ of the boundary node e, decoded from its four integers by point
+  /// evaluation over the encoding variables.
+  AlgebraicComplex amplitude(bdd::Edge e);
+  /// |α|²·2ᵏ of the boundary node e.
   Zroot2 ampSq(bdd::Edge e);
   /// Σ over all qubit assignments of |α|²·2ᵏ below `f`'s root.
   Zroot2 rootWeight(const bdd::Bdd& f);
@@ -99,7 +116,7 @@ class MeasurementContext {
   /// branch ratio is path-independent, so after the first visit a descent
   /// step is one hash lookup instead of two Z[√2] shifts and a division.
   std::unordered_map<std::uint32_t, double> branchProbMemo_;
-  std::vector<bool> assignment_;     // scratch for ampSq point evaluation
+  std::vector<bool> assignment_;     // scratch for amplitude point evaluation
   Zroot2 total_;
   bool totalValid_ = false;
   std::uint64_t builtReorderings_ = 0;

@@ -6,8 +6,8 @@
 // strings P_s = ⊗_q σ_q (σ ∈ {I, X, Y, Z}). The exact BDD representation is
 // strongest when the state is *not* collapsed: the same weight algebra that
 // yields per-qubit probabilities from one traversal of the monolithic
-// hyper-function also yields exact ⟨P⟩ for any Pauli string (a signed
-// traversal — see MeasurementContext::expectationZ). Every engine gets a
+// hyper-function also yields exact ⟨P⟩ for any Pauli string (a read-only
+// pair descent — see MeasurementContext::expectation). Every engine gets a
 // native fast path (engine_registry.cpp); the generic fallback below works
 // on any Engine through basis changes + a CNOT parity chain + the existing
 // probabilityOne machinery.

@@ -144,12 +144,6 @@ class SliqSimulator {
   /// Read-only access to slice BDD F_{x_bit} for vector x ∈ {0:a,1:b,2:c,
   /// 3:d} — research/inspection API (e.g. regenerating the paper's Fig. 1).
   const bdd::Bdd& slice(unsigned vectorIndex, unsigned bit) const;
-  /// The measurement hyper-function BDD of Eq. 12 (built afresh) —
-  /// inspection analogue of the paper's Fig. 2. Not available in symbolic
-  /// mode.
-  bdd::Bdd monolithicForInspection() { return monolithic(); }
-
-  bool isSymbolic() const { return symbolic_; }
 
   // ---- snapshots (support/serialize.hpp; DESIGN.md §12) -------------------
   /// Serializes the bit-sliced state: (n, r, k) scalars plus the shared

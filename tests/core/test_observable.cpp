@@ -12,10 +12,12 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "circuit/generators.hpp"
 #include "core/engine_registry.hpp"
 #include "core/measurement_context.hpp"
 #include "core/observable.hpp"
 #include "core/simulator.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace sliq {
@@ -181,7 +183,7 @@ TEST(Expectation, IdentityObservableIsExactlyOne) {
 }
 
 TEST(Expectation, NativeMatchesGenericOnNonCliffordStates) {
-  // Entangled non-Clifford state: natives (signed BDD traversal, DD pair
+  // Entangled non-Clifford state: natives (BDD pair descent, DD pair
   // contraction, dense contraction) against the basis-change fallback.
   QuantumCircuit c(3);
   c.h(0).t(0).cx(0, 1).h(2).t(2).cx(1, 2).s(1).h(1);
@@ -229,18 +231,17 @@ TEST(Expectation, DoesNotCollapseOrPerturbTheState) {
 }
 
 TEST(Expectation, ZOnlyStringsLeaveTheExactContextWarm) {
-  // The tentpole property: a diagonal string is one signed traversal of the
-  // already-built monolithic hyper-function — no gate application, no cache
-  // invalidation, no collapse.
+  // A diagonal string is one descent of the already-built monolithic
+  // hyper-function — no gate application, no cache invalidation, no
+  // collapse.
   QuantumCircuit c(3);
   c.h(0).t(0).cx(0, 1).cx(1, 2);
   SliqSimulator sim(c.numQubits());
   sim.run(c);
   (void)sim.probabilityOne(0);  // warm the context
   ASSERT_TRUE(sim.measurementContext().current());
-  std::vector<bool> zmask(3, false);
-  zmask[0] = zmask[2] = true;
-  const double zz = sim.measurementContext().expectationZ(zmask);
+  const PauliObservable z0z2 = PauliObservable::parseString("1 Z0 Z2");
+  const double zz = sim.measurementContext().expectation(z0z2.terms()[0]);
   EXPECT_TRUE(sim.measurementContext().current()) << "Z string mutated state";
   // Cross-check against the facade's generic fallback on a twin.
   std::unique_ptr<Engine> twin = makeEngine("exact", c.numQubits());
@@ -249,6 +250,43 @@ TEST(Expectation, ZOnlyStringsLeaveTheExactContextWarm) {
       zz,
       genericExpectation(*twin, PauliObservable::parseString("1 Z0 Z2")),
       1e-12);
+}
+
+TEST(Expectation, ExactExpectationIsReadOnly) {
+  // X/Y strings are a pure query on the exact engine too: repeated calls
+  // apply no gate, grow neither the bit-width nor the diagram, never drop
+  // the measurement memo, and return bit-identical values.
+  const QuantumCircuit c = randomCircuit(12, 36, 3);
+  const std::unique_ptr<Engine> engine = makeEngine("exact", c.numQubits());
+  engine->metrics().enable();
+  engine->run(c);
+  for (unsigned q = 0; q < c.numQubits(); ++q)
+    (void)engine->probabilityOne(q);
+  const std::unique_ptr<Engine> twin =
+      makeEngine("statevector", c.numQubits());
+  twin->run(c);
+  auto invalidations = [](const metrics::RunReport& report) {
+    const auto& counters = report.metrics.counters;
+    const auto it = counters.find("memo.invalidate");
+    return it == counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const metrics::RunReport before = engine->runMetrics();
+  for (const char* spec : {"1 X0 Y5", "1 Z1 X3 Y7"}) {
+    SCOPED_TRACE(spec);
+    const PauliObservable obs = PauliObservable::parseString(spec);
+    const double first = engine->expectation(obs);
+    EXPECT_NEAR(first, twin->expectation(obs), 1e-10);
+    for (int call = 1; call < 200; ++call)
+      EXPECT_EQ(engine->expectation(obs), first) << "call " << call;
+  }
+  const metrics::RunReport after = engine->runMetrics();
+  EXPECT_EQ(after.metrics.counters.at("gates.applied"),
+            before.metrics.counters.at("gates.applied"));
+  EXPECT_EQ(after.metrics.gauges.at("bitwidth.max"),
+            before.metrics.gauges.at("bitwidth.max"));
+  EXPECT_EQ(after.metrics.gauges.at("nodes.live"),
+            before.metrics.gauges.at("nodes.live"));
+  EXPECT_EQ(invalidations(after), invalidations(before));
 }
 
 TEST(Expectation, AfterMeasureThrowsOnEveryEngine) {

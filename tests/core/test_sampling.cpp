@@ -313,15 +313,21 @@ TEST(Sampling, PersistentContextInvalidatesOnMutation) {
 
   // Sifting after a query: reorder() unpins the hyper-function before it
   // sifts, so every answer still matches, then and after one more gate.
+  // The Pauli string checks the expectation descent under a permuted
+  // qubit-variable order.
   const QuantumCircuit rc = randomCircuit(8, 24, 1);
   SliqSimulator sifted(rc.numQubits());
   StatevectorSimulator siftedDense(rc.numQubits());
   sifted.run(rc);
   siftedDense.run(rc);
+  const PauliObservable xyz = PauliObservable::parseString("1 X2 Z3 Y7");
   auto expectSiftedMatch = [&](SliqSimulator& s) {
     for (unsigned q = 0; q < rc.numQubits(); ++q)
       EXPECT_NEAR(s.probabilityOne(q), siftedDense.probabilityOne(q), 1e-9)
           << q;
+    EXPECT_NEAR(s.measurementContext().expectation(xyz.terms()[0]),
+                siftedDense.expectationPauli(1u << 2, 1u << 7, 1u << 3),
+                1e-9);
   };
   expectSiftedMatch(sifted);
   sifted.reorder();

@@ -83,9 +83,7 @@ TEST(Serialization, RoundTripIsBitIdentical) {
 
     // Canonical re-serialization: saving the restored state reproduces the
     // original bytes exactly (the loaders rebuild through the managers'
-    // canonicalizing constructors, so nothing drifts). Checked before any
-    // query — queries may legitimately renormalize internal representation
-    // details (e.g. the exact engine's bit-width) on BOTH engines alike.
+    // canonicalizing constructors, so nothing drifts).
     EXPECT_EQ(saveToString(*restored), bytes) << name;
 
     // Bit-identical queries: probabilities, expectations, and the seeded
@@ -98,6 +96,11 @@ TEST(Serialization, RoundTripIsBitIdentical) {
     EXPECT_EQ(original->sampleShots(16, rngA),
               restored->sampleShots(16, rngB))
         << name;
+
+    // Queries are read-only: after probabilities, expectations and
+    // sampling, both states still serialize to the original bytes.
+    EXPECT_EQ(saveToString(*original), bytes) << name;
+    EXPECT_EQ(saveToString(*restored), bytes) << name;
   }
 }
 
