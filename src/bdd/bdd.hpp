@@ -89,11 +89,9 @@ class Bdd {
     return Bdd(mgr_, mgr_->restrict1(e_, var, value));
   }
   Bdd cofactorCube(const std::vector<Literal>& cube) const {
-    // restrictCube hands back a referenced edge; adopt it into a handle
-    // (which takes its own reference) and release the handoff reference.
-    const Edge e = mgr_->restrictCube(e_, cube);
-    Bdd result(mgr_, e);
-    mgr_->deref(e);
+    Bdd result = *this;
+    for (const Literal& lit : cube)
+      result = result.cofactor(lit.var, lit.positive);
     return result;
   }
 

@@ -106,13 +106,6 @@ class BddManager {
 
   /// Cofactor with respect to a single literal (Shannon restriction).
   Edge restrict1(Edge f, unsigned var, bool value);
-  /// Cofactor with respect to a cube given as a list of literals.
-  /// OWNERSHIP HANDOFF: unlike the other operations, the returned edge is
-  /// already referenced — each restrict1 step is a GC point, and so is
-  /// whatever the caller does next, so handing the result back unprotected
-  /// would be a use-after-reclaim hazard. The caller must deref() it once
-  /// (after wrapping it in a Bdd handle, or when done with it).
-  Edge restrictCube(Edge f, const std::vector<Literal>& cube);
   /// Conjunction of literals as a BDD.
   Edge cubeEdge(const std::vector<Literal>& cube);
 

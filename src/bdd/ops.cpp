@@ -134,25 +134,6 @@ Edge BddManager::restrict1Rec(Edge f, unsigned var, unsigned level,
   return outputComplement ? !result : result;
 }
 
-Edge BddManager::restrictCube(Edge f, const std::vector<Literal>& cube) {
-  // Each restrict1 call is a GC point, so intermediate results must be
-  // protected while the loop runs.
-  Edge current = f;
-  ref(current);
-  for (const Literal& lit : cube) {
-    const Edge next = restrict1(current, lit.var, lit.positive);
-    ref(next);
-    deref(current);
-    current = next;
-  }
-  // Handoff contract (see manager.hpp): the result keeps the reference
-  // acquired above. Returning it deref'd would let any GC point reached
-  // before the caller refs it (e.g. the caller's next public-API call)
-  // reclaim the cone. The caller owns one reference and must deref it —
-  // typically after adopting the edge into a Bdd handle.
-  return current;
-}
-
 Edge BddManager::cubeEdge(const std::vector<Literal>& cube) {
   // Build bottom-up in descending level order so each makeNode call sees
   // children strictly below it.

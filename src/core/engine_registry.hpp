@@ -171,10 +171,10 @@ class Engine {
   }
 
   /// ⟨O⟩ = Σ_s c_s·⟨P_s⟩ of a weighted Pauli-string observable on the state
-  /// prepared by run(), WITHOUT collapsing it (the state is restored up to
-  /// representation details; probabilities are never perturbed). Same
-  /// restriction as sampleShot(): only valid before any measure() call —
-  /// throws std::logic_error afterwards. Throws ObservableSpecError when the
+  /// prepared by run(), WITHOUT collapsing it: every native contraction is a
+  /// read-only query that leaves the state untouched. Same restriction as
+  /// sampleShot(): only valid before any measure() call — throws
+  /// std::logic_error afterwards. Throws ObservableSpecError when the
   /// observable references a qubit >= numQubits(). Implemented by
   /// expectationImpl(), each engine's native contraction. Defined out of
   /// line in observable.cpp.

@@ -97,8 +97,13 @@ double SliqSimulator::normalizationCorrection() {
 bool SliqSimulator::measure(unsigned qubit, double random) {
   SLIQ_REQUIRE(qubit < n_, "qubit out of range");
   SLIQ_REQUIRE(random >= 0.0 && random < 1.0, "random must be in [0,1)");
-  const double p1 = measurementContext().probabilityOne(qubit);
-  const bool outcome = random < p1;
+  MeasurementContext& ctx = measurementContext();
+  const bool outcome = random < ctx.probabilityOne(qubit);
+  // The collapsed state's weight Σ|α|²·2ᵏ is the kept half of the marginal
+  // just computed, so no hyper-function is rebuilt after the collapse.
+  const Zroot2 weight = outcome
+                            ? ctx.weightOne(qubit)
+                            : ctx.totalWeightScaled() - ctx.weightOne(qubit);
   // Collapse (paper: connect the discarded half to the constant-0 node):
   // conjoin every slice with the observed literal. Renormalization is
   // implicit — later probabilities divide by the new exact total weight.
@@ -108,15 +113,12 @@ bool SliqSimulator::measure(unsigned qubit, double random) {
   invalidateMonolithic();
   // Post-measure renormalization (DESIGN.md §8): scaling the physical
   // state by √2 is free in this representation — it is one decrement of
-  // the k scalar — so whenever the post-collapse weight Σ|α|²·2ᵏ is an
-  // exact power of two (always for Clifford circuits, whose measurement
-  // probabilities are dyadic) the state is renormalized *exactly* by
-  // re-pointing k at it. Non-dyadic weights (T-circuits) keep the implicit
-  // path: every query divides by the current weight, so probabilities are
-  // identical either way. The traversal this costs is the one the next
-  // probability query would run anyway (the context caches it; k does not
-  // enter the cached weights).
-  const Zroot2& weight = measurementContext().totalWeightScaled();
+  // the k scalar — so whenever the post-collapse weight is an exact power
+  // of two (always for Clifford circuits, whose measurement probabilities
+  // are dyadic) the state is renormalized *exactly* by re-pointing k at
+  // it. Non-dyadic weights (T-circuits) keep the implicit path: every
+  // query divides by the current weight, so probabilities are identical
+  // either way.
   if (weight.irrational().isZero() && weight.rational().signum() > 0) {
     const BigInt& u = weight.rational();
     const unsigned bits = u.bitLength();

@@ -52,7 +52,7 @@ void MeasurementContext::dropCaches() {
     }
   }
   mono_ = Bdd();
-  restrictedOne_.clear();
+  weightOne_.clear();
   weightMemo_.clear();
   ampMemo_.clear();
   branchProbMemo_.clear();
@@ -66,7 +66,7 @@ void MeasurementContext::refreshIfStale() {
   // rejecting symbolic mode); holding it as a handle pins every node the
   // memos will reference across garbage collections.
   mono_ = sim_->monolithic();
-  restrictedOne_.assign(sim_->n_, Bdd());
+  weightOne_.assign(sim_->n_, std::nullopt);
   weightMemo_.clear();
   ampMemo_.clear();
   branchProbMemo_.clear();
@@ -218,8 +218,8 @@ MeasurementContext::PairSum MeasurementContext::pairBelow(
   return sum.shifted(doublings);
 }
 
-double MeasurementContext::expectation(const PauliString& term) {
-  if (term.isIdentity()) return 1.0;  // ⟨I⟩, exactly
+MeasurementContext::PairSum MeasurementContext::pairSum(
+    const PauliString& term) {
   const unsigned n = sim_->n_;
   SLIQ_REQUIRE(term.factors.back().qubit < n, "Pauli factor out of range");
   refreshIfStale();
@@ -230,7 +230,12 @@ double MeasurementContext::expectation(const PauliString& term) {
     call.opAtLevel[level] = f.op;
     call.deepestLevel = std::max(call.deepestLevel, level);
   }
-  const PairSum sum = pairBelow(mono_.edge(), mono_.edge(), 0, call);
+  return pairBelow(mono_.edge(), mono_.edge(), 0, call);
+}
+
+double MeasurementContext::expectation(const PauliString& term) {
+  if (term.isIdentity()) return 1.0;  // ⟨I⟩, exactly
+  const PairSum sum = pairSum(term);
   // P is Hermitian, so ⟨ψ|P|ψ⟩ is real. The descent ran outside the
   // assertion, whose argument must stay side-effect-free.
   SLIQ_ASSERT(sum.im.isZero());
@@ -243,16 +248,12 @@ const Bdd& MeasurementContext::hyperFunction() {
   return mono_;
 }
 
-Zroot2 MeasurementContext::rootWeight(const Bdd& f) {
-  const Edge root = f.edge();
-  const unsigned level = std::min(sim_->mgr_.edgeLevel(root), sim_->n_);
-  return shiftLeft(weightBelow(root), level);
-}
-
 const Zroot2& MeasurementContext::totalWeightScaled() {
   refreshIfStale();
   if (!totalValid_) {
-    total_ = rootWeight(mono_);
+    const Edge root = mono_.edge();
+    total_ = shiftLeft(weightBelow(root),
+                       std::min(sim_->mgr_.edgeLevel(root), sim_->n_));
     totalValid_ = true;
   }
   return total_;
@@ -265,14 +266,22 @@ double MeasurementContext::totalProbability() {
                       BigInt(0)));
 }
 
-double MeasurementContext::probabilityOne(unsigned qubit) {
+const Zroot2& MeasurementContext::weightOne(unsigned qubit) {
   SLIQ_REQUIRE(qubit < sim_->n_, "qubit out of range");
   refreshIfStale();
-  Bdd& f1 = restrictedOne_[qubit];
-  // Zero out amplitudes with qubit = 0. The conjunction may collect garbage
-  // but never reorders, so the memoized levels stay valid.
-  if (!f1.valid()) f1 = mono_ & sim_->qvar(qubit);
-  const Zroot2 one = rootWeight(f1);
+  if (!weightOne_[qubit]) {
+    PauliString z;
+    z.factors.push_back({qubit, Pauli::kZ});
+    // √2·W − √2·(W₀ − W₁) = √2·2W₁, and PairSum stores √2·(u + v√2) as
+    // (2v, u): W₁ = u + v√2 comes back by exact shifts.
+    const Zroot2 twice = PairSum::real(totalWeightScaled()).re - pairSum(z).re;
+    weightOne_[qubit] = Zroot2(twice.irrational() >> 1, twice.rational() >> 2);
+  }
+  return *weightOne_[qubit];
+}
+
+double MeasurementContext::probabilityOne(unsigned qubit) {
+  const Zroot2& one = weightOne(qubit);
   if (one.isZero()) return 0.0;
   return ratio(one, totalWeightScaled());
 }
@@ -283,7 +292,8 @@ Zroot2 MeasurementContext::computeTotalFresh() {
   MeasurementContext fresh(*sim_);
   fresh.mono_ = mono_;
   fresh.assignment_ = assignment_;
-  return fresh.rootWeight(fresh.mono_);
+  fresh.builtReorderings_ = builtReorderings_;
+  return fresh.totalWeightScaled();
 }
 
 double MeasurementContext::normalizationCorrection() {

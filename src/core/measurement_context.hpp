@@ -12,14 +12,15 @@
 // query rebuilds — and re-checks the Eq. 12 variable layout.
 //
 // Memo safety: entries are keyed by raw edge words, which stay valid as
-// long as the underlying nodes are live. The context therefore keeps Bdd
-// handles to every root it has memoized under (the monolithic BDD and the
-// per-qubit restrictions), pinning all memoized cones across garbage
-// collections. Node *levels* enter the memoized weights, so a dynamic
-// reordering invalidates everything — hence the reordering-counter check.
+// long as the underlying nodes are live. The context therefore keeps a Bdd
+// handle to the monolithic BDD, the one root every query descends, pinning
+// all memoized cones across garbage collections. Node *levels* enter the
+// memoized weights, so a dynamic reordering invalidates everything — hence
+// the reordering-counter check.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -43,7 +44,11 @@ class MeasurementContext {
   const Zroot2& totalWeightScaled();
   /// Σ|α_i|² as a double (1.0 up to one final rounding when normalized).
   double totalProbability();
-  /// Pr[qubit = 1], exact ratio of Z[√2] weights rounded once.
+  /// Σ|α_i|²·2ᵏ over the basis states with `qubit` = 1, exactly (cached):
+  /// a Z at the qubit's level in the expectation descent gives
+  /// √2·(W₀ − W₁), and √2·W minus that is √2·2W₁. Creates no BDD node.
+  const Zroot2& weightOne(unsigned qubit);
+  /// Pr[qubit = 1] = weightOne / totalWeightScaled, rounded once.
   double probabilityOne(unsigned qubit);
   /// √(2ᵏ / current weight); see SliqSimulator::normalizationCorrection.
   double normalizationCorrection();
@@ -94,6 +99,8 @@ class MeasurementContext {
   /// `fromLevel`.
   PairSum pairBelow(bdd::Edge bra, bdd::Edge ket, unsigned fromLevel,
                     PauliDescent& call);
+  /// Σₓ conj(α(x))·(Pα)(x) of `term` over the whole hyper-function.
+  PairSum pairSum(const PauliString& term);
   /// Weight over qubit variables at levels [level(e), n).
   Zroot2 weightBelow(bdd::Edge e);
   /// α·√2ᵏ of the boundary node e, decoded from its four integers by point
@@ -101,15 +108,13 @@ class MeasurementContext {
   AlgebraicComplex amplitude(bdd::Edge e);
   /// |α|²·2ᵏ of the boundary node e.
   Zroot2 ampSq(bdd::Edge e);
-  /// Σ over all qubit assignments of |α|²·2ᵏ below `f`'s root.
-  Zroot2 rootWeight(const bdd::Bdd& f);
   /// Recomputation from empty memos over the pinned mono_ (debug
   /// cross-check; builds no second hyper-function).
   Zroot2 computeTotalFresh();
 
   SliqSimulator* sim_;
   bdd::Bdd mono_;                    // pins the monolithic cone
-  std::vector<bdd::Bdd> restrictedOne_;  // per-qubit f ∧ q, built lazily
+  std::vector<std::optional<Zroot2>> weightOne_;  // per qubit, lazily
   std::unordered_map<std::uint32_t, Zroot2> weightMemo_;
   std::unordered_map<std::uint32_t, Zroot2> ampMemo_;
   /// Per-edge THEN-branch probability for the sampling descent. A node's

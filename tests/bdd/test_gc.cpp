@@ -79,19 +79,18 @@ TEST(BddGc, StressRandomChurn) {
   EXPECT_GT(mgr.stats().gcRuns, 0u);
 }
 
-TEST(BddGc, RestrictCubeResultSurvivesGcBeforeAdoption) {
-  // Regression: restrictCube used to deref its result before returning it,
-  // so a GC between the call and the caller's ref could reclaim the cone.
-  // The result now arrives referenced (ownership handoff, see manager.hpp).
+TEST(BddGc, CofactorCubeResultSurvivesGc) {
+  // Every restrict1 step of a cube cofactor is a GC point, so each
+  // intermediate and the result must be owned by a handle before the next.
   BddManager mgr(BddManager::Config{.initialVars = 8});
   // f = v0 ⊕ (v1 ∧ v2) ⊕ v3. Restricting the *middle* variable v1 yields
-  // v0 ⊕ v2 ⊕ v3, whose root is a freshly built node outside f's cone —
-  // only the handoff reference keeps it alive below.
+  // v0 ⊕ v2 ⊕ v3, and then v3 = 0 yields v0 ⊕ v2: both roots are freshly
+  // built nodes outside f's cone, alive only through the handles.
   Bdd f = makeVar(mgr, 0) ^ (makeVar(mgr, 1) & makeVar(mgr, 2)) ^
           makeVar(mgr, 3);
-  const Edge restricted = mgr.restrictCube(f.edge(), {{1, true}});
-  // Force a GC before any caller ref, then churn the manager so that a
-  // wrongly reclaimed slot would have been reused by now.
+  const Bdd g = f.cofactorCube({{1, true}, {3, false}});
+  // Force a GC, then churn the manager so that a wrongly reclaimed slot
+  // would have been reused by now.
   mgr.garbageCollect();
   {
     Bdd churn(&mgr, kTrueEdge);
@@ -99,14 +98,11 @@ TEST(BddGc, RestrictCubeResultSurvivesGcBeforeAdoption) {
   }
   mgr.garbageCollect();
   mgr.checkConsistency();
-  Bdd g(&mgr, restricted);
-  mgr.deref(restricted);  // release the handoff reference
-  // g must still be v0 ⊕ v2 ⊕ v3.
+  // g must still be v0 ⊕ v2.
   for (unsigned assignment = 0; assignment < 16; ++assignment) {
     std::vector<bool> point(8, false);
     for (unsigned v = 0; v < 4; ++v) point[v] = ((assignment >> v) & 1) != 0;
-    const bool expected = point[0] ^ point[2] ^ point[3];
-    EXPECT_EQ(g.eval(point), expected) << assignment;
+    EXPECT_EQ(g.eval(point), point[0] ^ point[2]) << assignment;
   }
   mgr.checkConsistency();
 }

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "circuit/generators.hpp"
+#include "core/engine_registry.hpp"
 #include "core/simulator.hpp"
 #include "statevector/statevector.hpp"
 #include "support/rng.hpp"
@@ -171,6 +172,44 @@ TEST(Measurement, RepeatedMeasurementIsStable) {
     EXPECT_EQ(sim.measure(1, 0.999), v);
     EXPECT_EQ(sim.measure(1, 0.0), v);
   }
+}
+
+TEST(Measurement, MarginalsAndCollapseReadOnly) {
+  // Marginals come from the read-only pair descent of the Eq. 12
+  // hyper-function: once it is built, probabilityOne on every qubit
+  // creates no BDD node, makes no computed-cache lookup and pins nothing.
+  const QuantumCircuit c = randomCircuit(12, 36, 3);
+  const std::unique_ptr<Engine> engine = makeEngine("exact", c.numQubits());
+  engine->metrics().enable();
+  engine->run(c);
+  const std::unique_ptr<Engine> twin =
+      makeEngine("statevector", c.numQubits());
+  twin->run(c);
+  (void)engine->probabilityOne(0);  // builds the hyper-function
+  const metrics::RunReport before = engine->runMetrics();
+  std::vector<double> first;
+  for (unsigned q = 0; q < c.numQubits(); ++q) {
+    first.push_back(engine->probabilityOne(q));
+    EXPECT_NEAR(first[q], twin->probabilityOne(q), 1e-10) << "qubit " << q;
+  }
+  for (unsigned q = 0; q < c.numQubits(); ++q)
+    EXPECT_EQ(engine->probabilityOne(q), first[q]) << "qubit " << q;
+  const metrics::RunReport after = engine->runMetrics();
+  for (const char* counter : {"bdd.created_nodes", "cache.lookups"}) {
+    EXPECT_EQ(after.metrics.counters.at(counter),
+              before.metrics.counters.at(counter))
+        << counter;
+  }
+  EXPECT_EQ(after.metrics.gauges.at("nodes.live"),
+            before.metrics.gauges.at("nodes.live"));
+
+  // The collapsed state's weight is the kept half of the marginal, so one
+  // measurement fills the memo once and rebuilds nothing after collapsing.
+  const std::unique_ptr<Engine> ghz = makeEngine("exact", 8);
+  ghz->metrics().enable();
+  ghz->run(entanglementCircuit(8));
+  (void)ghz->measure(0, 0.5);
+  EXPECT_EQ(ghz->runMetrics().metrics.timers.at("memo.fill").count, 1u);
 }
 
 }  // namespace

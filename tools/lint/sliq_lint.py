@@ -6,8 +6,9 @@ Rules (see DESIGN.md §10 and support/assert.hpp):
   R1 ref-pairing      A file that calls BddManager::ref() must also call
                       deref() (lexical pairing of manual refcount traffic),
                       unless the call site carries a `// lint: ref-handoff`
-                      annotation documenting an ownership transfer (see
-                      restrictCube's contract in bdd/manager.hpp).
+                      annotation documenting an ownership transfer (a raw
+                      edge handed back already referenced, which the
+                      caller must deref once).
   R2 memo-traversal   Functions annotated `// lint: memo-traversal` memoize
                       node ids / edge words; creating nodes or running GC
                       inside them would invalidate the keys mid-walk. Their
@@ -35,7 +36,7 @@ SOURCE_GLOBS = ("*.cpp", "*.hpp")
 # `mgr.ite(...)` and unqualified member calls are caught.
 MUTATOR_CALLS = (
     "makeNode", "allocNode", "ite", "andE", "orE", "xorE", "xnorE",
-    "restrict1", "restrictCube", "cubeEdge", "newVar", "garbageCollect",
+    "restrict1", "cubeEdge", "newVar", "garbageCollect",
     "reorderSift", "maybeGc", "cacheInsert", "cacheClear", "swapLevels",
     "siftVar", "makeVNode", "makeMNode", "vAdd", "mAdd", "mvMultiply",
     "applyGate", "applyFusedOp", "invalidateMonolithic", "monolithic",
