@@ -119,6 +119,10 @@ void report() {
       {"exact", false, 1, cliffordBench},
       {"qmdd", true, 4, tLayerBench},
       {"statevector", true, 4, tLayerBench},
+      // Appended last so the committed baseline rows keep their indices:
+      // every exact trajectory builds a fresh BDD engine, so this row
+      // tracks the per-trajectory construction cost.
+      {"exact", true, 50, tLayerBench},
   };
 
   std::vector<CaseResult> results;

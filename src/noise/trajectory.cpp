@@ -1,5 +1,6 @@
 #include "noise/trajectory.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <exception>
@@ -108,37 +109,22 @@ GateKind pauliGateKind(Pauli p) {
   throw NoiseError("identity term has no gate");
 }
 
-QuantumCircuit realizationFromPlan(const QuantumCircuit& circuit,
-                                   const NoisePlan& plan, Rng& rng) {
-  QuantumCircuit out(circuit.numQubits(), circuit.name() + "+noise");
-  for (std::size_t i = 0; i < circuit.gateCount(); ++i) {
-    out.append(circuit.gate(i));
-    for (const ChannelApplication& site : plan[i]) {
-      const PauliChannel& channel = *site.channel;
-      const PauliTerm& term = channel.terms()[channel.sample(rng)];
-      if (term.paulis[0] != Pauli::kI) {
-        out.append(Gate{pauliGateKind(term.paulis[0]), {site.q0}, {}});
-      }
-      if (channel.arity() == 2 && term.paulis[1] != Pauli::kI) {
-        out.append(Gate{pauliGateKind(term.paulis[1]), {site.q1}, {}});
-      }
-    }
+/// Samples one term per site of `sites`, in order, and hands each of its
+/// one or two Paulis (identities included) to apply(qubit, pauli) — the
+/// one deviate-per-site draw every execution path shares, so the frame
+/// path and the walker consume a substream identically.
+template <typename Apply>
+void drawPaulis(const std::vector<ChannelApplication>& sites, Rng& rng,
+                Apply&& apply) {
+  for (const ChannelApplication& site : sites) {
+    const PauliChannel& channel = *site.channel;
+    const PauliTerm& term = channel.terms()[channel.sample(rng)];
+    apply(site.q0, term.paulis[0]);
+    if (channel.arity() == 2) apply(site.q1, term.paulis[1]);
   }
-  return out;
 }
 
 }  // namespace
-
-QuantumCircuit sampleRealization(const QuantumCircuit& circuit,
-                                 const NoiseModel& model, Rng& rng) {
-  if (circuit.isDynamic()) {
-    throw NoiseError(
-        "sampleRealization is defined for static circuits: a dynamic "
-        "realization depends on mid-run outcomes (use runTrajectories, "
-        "which replays the classical control per trajectory)");
-  }
-  return realizationFromPlan(circuit, buildNoisePlan(model, circuit), rng);
-}
 
 // ---- PauliFrame -----------------------------------------------------------
 
@@ -229,7 +215,7 @@ void PauliFrame::propagateThrough(const Gate& gate) {
     case GateKind::kReset:
       // Frames conjugate through unitaries only; collapse points end the
       // frame algebra (the runner never picks the fast path for dynamic
-      // circuits — see runChecked).
+      // circuits — see takesFramePath).
       throw NoiseError(
           "Pauli frame cannot propagate through " + gateName(gate) +
           ": frames do not commute through classical control");
@@ -248,416 +234,99 @@ struct RunContext {
   const QuantumCircuit& circuit;
   const NoiseModel& model;
   const NoisePlan& plan;
-  unsigned trajectories;
-  /// Global index of trajectory 0 (TrajectoryOptions::firstTrajectory):
-  /// substream selection uses firstTrajectory + t so shard runs reproduce
-  /// the monolithic run's deviates slice for slice.
-  unsigned firstTrajectory;
-  RngState root;
 };
 
-/// Generic path: one fresh engine + sampled realization per trajectory.
-void runGenericWorker(const RunContext& run, std::atomic<unsigned>& next,
-                      Counts& local, metrics::Registry* reg) {
-  const metrics::ScopedSpan span(reg, "trajectory.worker");
-  const unsigned n = run.circuit.numQubits();
-  for (;;) {
-    const unsigned t = next.fetch_add(1, std::memory_order_relaxed);
-    if (t >= run.trajectories) return;
-    if (reg != nullptr) reg->add("trajectories.executed");
-    Rng rng = run.root.split(run.firstTrajectory + t).rng();
-    const QuantumCircuit realization =
-        realizationFromPlan(run.circuit, run.plan, rng);
-    const std::unique_ptr<Engine> engine = makeEngine(run.engineName, n);
-    engine->run(realization);
-    std::vector<bool> bits = engine->sampleShot(rng);
-    applyReadout(bits, run.model, rng);
-    ++local[bitsToString(bits)];
+/// One worker's share of a run: it claims trajectory indices from the
+/// shared counter until none are left, and records telemetry into its own
+/// registry (null when the run records nothing) on trace track index+1.
+class Worker {
+ public:
+  Worker(unsigned index, metrics::Registry* reg, std::atomic<unsigned>& next,
+         const TrajectoryOptions& options)
+      : index_(index), reg_(reg), next_(next), options_(options) {}
+
+  unsigned index() const { return index_; }
+
+  /// Runs body(t, rng) for every trajectory t this worker claims. `rng` is
+  /// substream split(firstTrajectory + t) — the trajectory's only deviates
+  /// — so shard runs covering disjoint [offset, offset+count) ranges
+  /// reproduce the monolithic run slice for slice.
+  template <typename Body>
+  void forEachTrajectory(Body&& body) {
+    const RngState root{options_.seed};
+    for (;;) {
+      const unsigned t = next_.fetch_add(1, std::memory_order_relaxed);
+      if (t >= options_.trajectories) return;
+      if (reg_ != nullptr) reg_->add("trajectories.executed");
+      Rng rng = root.split(options_.firstTrajectory + t).rng();
+      body(t, rng);
+    }
   }
+
+  /// A fresh engine whose telemetry records on this worker's track when
+  /// the run records.
+  std::unique_ptr<Engine> newEngine(const std::string& name,
+                                    unsigned numQubits) const {
+    std::unique_ptr<Engine> engine = makeEngine(name, numQubits);
+    if (reg_ != nullptr) engine->metrics().enable(index_ + 1);
+    return engine;
+  }
+
+  /// Folds `engine`'s run report (its native totals mirrored by
+  /// runMetrics) into this worker's registry: counters sum across engines.
+  void absorb(Engine& engine) const {
+    if (reg_ == nullptr) return;
+    engine.runMetrics();
+    reg_->merge(engine.metrics());
+  }
+
+ private:
+  unsigned index_;
+  metrics::Registry* reg_;
+  std::atomic<unsigned>& next_;
+  const TrajectoryOptions& options_;
+};
+
+unsigned workerCount(const TrajectoryOptions& options) {
+  const unsigned requested = options.threads == 0
+                                 ? ThreadPool::hardwareConcurrency()
+                                 : options.threads;
+  return std::max(1u, std::min(requested, options.trajectories));
 }
 
-/// Dynamic-circuit path: each trajectory re-executes the classical control
-/// flow through Engine::runDynamic on a fresh engine, with the noise plan
-/// injected per executed op through the DynamicInstrument hooks — the walk
-/// (condition evaluation, creg updates, deviate order) lives in the facade,
-/// so zero-noise trajectories are bit-identical to plain runDynamic. The
-/// trajectory's "shot" is the final classical register.
-void runDynamicWorker(const RunContext& run, std::atomic<unsigned>& next,
-                      Counts& local, metrics::Registry* reg) {
-  const metrics::ScopedSpan span(reg, "trajectory.worker");
-  const unsigned n = run.circuit.numQubits();
-  const bool readout = run.model.hasReadoutError();
-  const double flip = readout ? run.model.readoutFlip() : 0.0;
-  for (;;) {
-    const unsigned t = next.fetch_add(1, std::memory_order_relaxed);
-    if (t >= run.trajectories) return;
-    if (reg != nullptr) reg->add("trajectories.executed");
-    Rng rng = run.root.split(run.firstTrajectory + t).rng();
-    const std::unique_ptr<Engine> engine = makeEngine(run.engineName, n);
-    DynamicInstrument instrument;
-    instrument.afterOp = [&run, &rng](Engine& e, std::size_t i) {
-      for (const ChannelApplication& site : run.plan[i]) {
-        const PauliChannel& channel = *site.channel;
-        const PauliTerm& term = channel.terms()[channel.sample(rng)];
-        if (term.paulis[0] != Pauli::kI) {
-          e.applyGate(Gate{pauliGateKind(term.paulis[0]), {site.q0}, {}});
-        }
-        if (channel.arity() == 2 && term.paulis[1] != Pauli::kI) {
-          e.applyGate(Gate{pauliGateKind(term.paulis[1]), {site.q1}, {}});
-        }
-      }
-    };
-    if (readout) {
-      // Mid-circuit readout error: the *recorded* bit flips, and classical
-      // control downstream sees the flipped record — one deviate per
-      // executed measure, mirroring applyReadout's per-bit convention.
-      instrument.recordMeasure = [&rng, flip](bool outcome) {
-        return rng.uniform() < flip ? !outcome : outcome;
-      };
-    }
-    const DynamicRun shot = engine->runDynamic(run.circuit, rng, &instrument);
-    ++local[bitsToString(shot.creg)];
-  }
-}
-
-/// Pauli-frame fast path: the ideal circuit runs once per worker; each
-/// trajectory conjugates its sampled errors to the end of the circuit and
-/// XORs the frame into an ideal shot. Channel sampling visits the same
-/// plan sites as realizationFromPlan, so both paths consume substream
-/// deviates identically.
-void runFrameWorker(const RunContext& run, std::atomic<unsigned>& next,
-                    Counts& local, metrics::Registry* reg) {
-  const metrics::ScopedSpan span(reg, "trajectory.worker");
-  const unsigned n = run.circuit.numQubits();
-  const std::unique_ptr<Engine> engine = makeEngine(run.engineName, n);
-  engine->run(run.circuit);
-  for (;;) {
-    const unsigned t = next.fetch_add(1, std::memory_order_relaxed);
-    if (t >= run.trajectories) return;
-    if (reg != nullptr) reg->add("trajectories.executed");
-    Rng rng = run.root.split(run.firstTrajectory + t).rng();
-    PauliFrame frame(n);
-    for (std::size_t i = 0; i < run.circuit.gateCount(); ++i) {
-      frame.propagateThrough(run.circuit.gate(i));
-      for (const ChannelApplication& site : run.plan[i]) {
-        const PauliChannel& channel = *site.channel;
-        const PauliTerm& term = channel.terms()[channel.sample(rng)];
-        frame.multiply(site.q0, term.paulis[0]);
-        if (channel.arity() == 2) frame.multiply(site.q1, term.paulis[1]);
-      }
-    }
-    std::vector<bool> bits = engine->sampleShot(rng);
-    for (unsigned q = 0; q < n; ++q) {
-      if (frame.x(q)) bits[q] = !bits[q];
-    }
-    applyReadout(bits, run.model, rng);
-    ++local[bitsToString(bits)];
-  }
-}
-
-/// Shared body. The caller has already verified the engine supports the
-/// circuit (each public overload does it with the cheapest instance it has).
-TrajectoryResult runChecked(const std::string& engineName,
-                            const QuantumCircuit& circuit,
-                            const NoiseModel& model,
-                            const TrajectoryOptions& options) {
-  model.validateForWidth(circuit.numQubits());
-
-  const bool dynamic = circuit.isDynamic();
-  if (options.forcePauliFrame) {
-    if (options.forceGeneric) {
-      throw NoiseError(
-          "forceGeneric and forcePauliFrame are mutually exclusive");
-    }
-    if (dynamic) {
-      throw NoiseError(
-          "Pauli-frame fast path cannot execute dynamic circuits: frames "
-          "do not commute through classical control (measure/reset/if)");
-    }
-    if (!StabilizerSimulator::supports(circuit)) {
-      throw NoiseError(
-          "Pauli-frame fast path requires a Clifford circuit");
-    }
-  }
-
-  TrajectoryResult result;
-  result.trajectories = options.trajectories;
-  // Pauli insertions keep a Clifford circuit Clifford, so the frame path is
-  // valid exactly when the ideal circuit is stabilizer-simulable AND static
-  // (a classical condition decides mid-run whether a Clifford gate exists —
-  // no frame conjugation order is correct for both branches). The choice
-  // depends only on (circuit, options) — never on the thread count.
-  result.usedPauliFrameFastPath =
-      !dynamic && !options.forceGeneric &&
-      StabilizerSimulator::supports(circuit);
-  if (options.trajectories == 0) return result;
-
-  const unsigned threads =
-      std::min(options.threads == 0 ? ThreadPool::hardwareConcurrency()
-                                    : options.threads,
-               options.trajectories);
-  result.threadsUsed = std::max(1u, threads);
-
-  const NoisePlan plan = buildNoisePlan(model, circuit);
-  const RunContext run{engineName,
-                       circuit,
-                       model,
-                       plan,
-                       options.trajectories,
-                       options.firstTrajectory,
-                       RngState{options.seed}};
-  std::atomic<unsigned> next{0};
-  std::vector<Counts> locals(result.threadsUsed);
-
-  // Telemetry: one registry per worker (span track w+1), merged back into
-  // the caller's sink in worker-index order after the join — the merged
-  // counter totals are deterministic even though the per-worker split is
-  // not (workers pull trajectory indices from the shared atomic).
+/// The pool driver both runners share: runs work(worker) once per worker
+/// on `threads` pool threads, joins them (re-throwing the first failure
+/// once every worker has stopped), then merges the per-worker registries
+/// into options.metrics in worker-index order — the merged totals are
+/// deterministic even though the per-worker split is not. Returns the wall
+/// time of the fan-out.
+template <typename Work>
+double runWorkers(unsigned threads, bool framePath,
+                  const TrajectoryOptions& options, Work&& work) {
   const bool record =
       options.metrics != nullptr && options.metrics->enabled();
   std::vector<std::unique_ptr<metrics::Registry>> workerRegs;
   if (record) {
-    workerRegs.reserve(result.threadsUsed);
-    for (unsigned w = 0; w < result.threadsUsed; ++w) {
+    workerRegs.reserve(threads);
+    for (unsigned w = 0; w < threads; ++w) {
       workerRegs.push_back(std::make_unique<metrics::Registry>());
       workerRegs.back()->enable(w + 1);
     }
   }
-
-  const bool framePath = result.usedPauliFrameFastPath;
-  WallTimer timer;
-  {
-    // The pool is declared after `locals`/`next` so that unwinding on an
-    // exception joins the workers before their shared state dies.
-    ThreadPool pool(result.threadsUsed);
-    std::vector<std::future<void>> done;
-    done.reserve(result.threadsUsed);
-    for (unsigned w = 0; w < result.threadsUsed; ++w) {
-      Counts& local = locals[w];
-      metrics::Registry* reg = record ? workerRegs[w].get() : nullptr;
-      done.push_back(
-          pool.submit([&run, &next, &local, reg, framePath, dynamic] {
-            if (framePath) {
-              runFrameWorker(run, next, local, reg);
-            } else if (dynamic) {
-              runDynamicWorker(run, next, local, reg);
-            } else {
-              runGenericWorker(run, next, local, reg);
-            }
-          }));
-    }
-    std::exception_ptr failure;
-    for (std::future<void>& future : done) {
-      try {
-        future.get();
-      } catch (...) {
-        if (!failure) failure = std::current_exception();
-      }
-    }
-    if (failure) std::rethrow_exception(failure);
-  }
-  result.seconds = timer.seconds();
-  for (const Counts& local : locals) {
-    for (const auto& [key, count] : local) result.counts[key] += count;
-  }
-  if (record) {
-    for (const auto& wr : workerRegs) options.metrics->merge(*wr);
-    options.metrics->gaugeSet("trajectory.threads", result.threadsUsed);
-    options.metrics->counterSet("trajectory.frame_fast_path",
-                                framePath ? 1 : 0);
-    options.metrics->timerAdd("trajectory.run", result.seconds);
-  }
-  return result;
-}
-
-}  // namespace
-
-// ---- trajectory expectations ----------------------------------------------
-
-namespace {
-
-/// Shared inputs of one expectation run (all const after setup).
-struct ExpectationRunContext {
-  const std::string& engineName;
-  const QuantumCircuit& circuit;
-  const NoisePlan& plan;
-  const PauliObservable& observable;
-  /// observable.terms()[s] wrapped as a standalone 1.0-coefficient
-  /// observable, built once so workers never re-normalize factor lists.
-  const std::vector<PauliObservable>& singles;
-  /// Per-string readout attenuation (1−2p)^|support| — closed form of the
-  /// symmetric flip channel on a parity observable, applied analytically so
-  /// no readout deviates are drawn.
-  const std::vector<double>& readoutFactors;
-  unsigned trajectories;
-  /// Global index of trajectory 0 — same substream contract as RunContext.
-  unsigned firstTrajectory;
-  RngState root;
-};
-
-std::vector<double> readoutAttenuation(const NoiseModel& model,
-                                       const PauliObservable& observable) {
-  std::vector<double> factors;
-  factors.reserve(observable.terms().size());
-  for (const PauliString& term : observable.terms()) {
-    factors.push_back(
-        model.hasReadoutError()
-            ? std::pow(1.0 - 2.0 * model.readoutFlip(),
-                       static_cast<double>(term.factors.size()))
-            : 1.0);
-  }
-  return factors;
-}
-
-/// Generic path: one fresh engine + sampled realization per trajectory;
-/// the engine's (native or fallback) expectation is exact per realization.
-void runExpectationGenericWorker(const ExpectationRunContext& run,
-                                 std::atomic<unsigned>& next,
-                                 std::vector<double>& values,
-                                 metrics::Registry* reg) {
-  const metrics::ScopedSpan span(reg, "trajectory.worker");
-  const unsigned n = run.circuit.numQubits();
-  for (;;) {
-    const unsigned t = next.fetch_add(1, std::memory_order_relaxed);
-    if (t >= run.trajectories) return;
-    if (reg != nullptr) reg->add("trajectories.executed");
-    Rng rng = run.root.split(run.firstTrajectory + t).rng();
-    const QuantumCircuit realization =
-        realizationFromPlan(run.circuit, run.plan, rng);
-    const std::unique_ptr<Engine> engine = makeEngine(run.engineName, n);
-    engine->run(realization);
-    double value = 0;
-    const auto& terms = run.observable.terms();
-    for (std::size_t s = 0; s < terms.size(); ++s) {
-      value += terms[s].coefficient * run.readoutFactors[s] *
-               engine->expectation(run.singles[s]);
-    }
-    values[t] = value;
-  }
-}
-
-/// Pauli-frame fast path: the ideal circuit runs once per worker and every
-/// string's ideal ⟨P⟩ is computed once; a trajectory then only needs its
-/// frame's sign per string: F P F = ±P, with − exactly when F and P
-/// anticommute (symplectic product), so ⟨F P F⟩ = ±⟨P⟩ — exact, because
-/// conjugating a Pauli observable by a Pauli error is again ±P.
-void runExpectationFrameWorker(const ExpectationRunContext& run,
-                               std::atomic<unsigned>& next,
-                               std::vector<double>& values,
-                               metrics::Registry* reg) {
-  const metrics::ScopedSpan span(reg, "trajectory.worker");
-  const unsigned n = run.circuit.numQubits();
-  const std::unique_ptr<Engine> engine = makeEngine(run.engineName, n);
-  engine->run(run.circuit);
-  const auto& terms = run.observable.terms();
-  std::vector<double> ideal;
-  ideal.reserve(terms.size());
-  for (const PauliObservable& single : run.singles)
-    ideal.push_back(engine->expectation(single));
-  for (;;) {
-    const unsigned t = next.fetch_add(1, std::memory_order_relaxed);
-    if (t >= run.trajectories) return;
-    if (reg != nullptr) reg->add("trajectories.executed");
-    Rng rng = run.root.split(run.firstTrajectory + t).rng();
-    PauliFrame frame(n);
-    for (std::size_t i = 0; i < run.circuit.gateCount(); ++i) {
-      frame.propagateThrough(run.circuit.gate(i));
-      for (const ChannelApplication& site : run.plan[i]) {
-        const PauliChannel& channel = *site.channel;
-        const PauliTerm& term = channel.terms()[channel.sample(rng)];
-        frame.multiply(site.q0, term.paulis[0]);
-        if (channel.arity() == 2) frame.multiply(site.q1, term.paulis[1]);
-      }
-    }
-    double value = 0;
-    for (std::size_t s = 0; s < terms.size(); ++s) {
-      bool anticommute = false;
-      for (const PauliFactor& f : terms[s].factors) {
-        const bool px = f.op == Pauli::kX || f.op == Pauli::kY;
-        const bool pz = f.op == Pauli::kZ || f.op == Pauli::kY;
-        anticommute ^= (frame.x(f.qubit) && pz) != (frame.z(f.qubit) && px);
-      }
-      value += (anticommute ? -1.0 : 1.0) * terms[s].coefficient *
-               run.readoutFactors[s] * ideal[s];
-    }
-    values[t] = value;
-  }
-}
-
-ExpectationResult runExpectationChecked(const std::string& engineName,
-                                        const QuantumCircuit& circuit,
-                                        const NoiseModel& model,
-                                        const PauliObservable& observable,
-                                        const TrajectoryOptions& options) {
-  model.validateForWidth(circuit.numQubits());
-  observable.validateForWidth(circuit.numQubits());
-  if (circuit.isDynamic()) {
-    throw NoiseError(
-        "trajectory expectation requires a static circuit: a dynamic "
-        "circuit's <O> is conditioned on its classical outcome stream "
-        "(mirrors the CLI's --observable restriction)");
-  }
-
-  ExpectationResult result;
-  result.trajectories = options.trajectories;
-  result.usedPauliFrameFastPath =
-      !options.forceGeneric && StabilizerSimulator::supports(circuit);
-  if (options.trajectories == 0) return result;
-
-  const unsigned threads =
-      std::min(options.threads == 0 ? ThreadPool::hardwareConcurrency()
-                                    : options.threads,
-               options.trajectories);
-  result.threadsUsed = std::max(1u, threads);
-
-  const NoisePlan plan = buildNoisePlan(model, circuit);
-  std::vector<PauliObservable> singles;
-  singles.reserve(observable.terms().size());
-  for (const PauliString& term : observable.terms())
-    singles.push_back(singleStringObservable(term));
-  const std::vector<double> readoutFactors =
-      readoutAttenuation(model, observable);
-  const ExpectationRunContext run{engineName,
-                                  circuit,
-                                  plan,
-                                  observable,
-                                  singles,
-                                  readoutFactors,
-                                  options.trajectories,
-                                  options.firstTrajectory,
-                                  RngState{options.seed}};
   std::atomic<unsigned> next{0};
-  // Indexed by trajectory: workers write disjoint slots, and the final
-  // reduction walks the indices in order — the float sums are therefore
-  // bit-identical for every thread count.
-  std::vector<double> values(options.trajectories, 0.0);
-
-  // Same per-worker telemetry scheme as runChecked (merge in index order).
-  const bool record =
-      options.metrics != nullptr && options.metrics->enabled();
-  std::vector<std::unique_ptr<metrics::Registry>> workerRegs;
-  if (record) {
-    workerRegs.reserve(result.threadsUsed);
-    for (unsigned w = 0; w < result.threadsUsed; ++w) {
-      workerRegs.push_back(std::make_unique<metrics::Registry>());
-      workerRegs.back()->enable(w + 1);
-    }
-  }
-
-  const bool framePath = result.usedPauliFrameFastPath;
   WallTimer timer;
   {
-    ThreadPool pool(result.threadsUsed);
+    // The pool is declared after `next`/`workerRegs` so that unwinding on
+    // an exception joins the workers before their shared state dies.
+    ThreadPool pool(threads);
     std::vector<std::future<void>> done;
-    done.reserve(result.threadsUsed);
-    for (unsigned w = 0; w < result.threadsUsed; ++w) {
+    done.reserve(threads);
+    for (unsigned w = 0; w < threads; ++w) {
       metrics::Registry* reg = record ? workerRegs[w].get() : nullptr;
-      done.push_back(pool.submit([&run, &next, &values, reg, framePath] {
-        if (framePath) {
-          runExpectationFrameWorker(run, next, values, reg);
-        } else {
-          runExpectationGenericWorker(run, next, values, reg);
-        }
+      done.push_back(pool.submit([&work, &next, &options, w, reg] {
+        const metrics::ScopedSpan span(reg, "trajectory.worker");
+        Worker worker(w, reg, next, options);
+        work(worker);
       }));
     }
     std::exception_ptr failure;
@@ -670,14 +339,283 @@ ExpectationResult runExpectationChecked(const std::string& engineName,
     }
     if (failure) std::rethrow_exception(failure);
   }
-  result.seconds = timer.seconds();
+  const double seconds = timer.seconds();
   if (record) {
     for (const auto& wr : workerRegs) options.metrics->merge(*wr);
-    options.metrics->gaugeSet("trajectory.threads", result.threadsUsed);
+    options.metrics->gaugeSet("trajectory.threads", threads);
     options.metrics->counterSet("trajectory.frame_fast_path",
                                 framePath ? 1 : 0);
-    options.metrics->timerAdd("trajectory.run", result.seconds);
+    options.metrics->timerAdd("trajectory.run", seconds);
   }
+  return seconds;
+}
+
+/// Pauli insertions keep a Clifford circuit Clifford, so the frame path is
+/// valid exactly when the ideal circuit is stabilizer-simulable AND static
+/// (a classical condition decides mid-run whether a Clifford gate exists —
+/// no frame conjugation order is correct for both branches). The choice
+/// depends only on (circuit, options) — never on the thread count.
+bool takesFramePath(const QuantumCircuit& circuit,
+                    const TrajectoryOptions& options) {
+  return !circuit.isDynamic() && !options.forceGeneric &&
+         StabilizerSimulator::supports(circuit);
+}
+
+/// The generic walker every non-frame trajectory runs: Engine::runDynamic
+/// executes the circuit op by op and owns the classical control; after
+/// each executed op the instrument draws plan[i]'s Paulis and applies the
+/// non-identity ones, and a `measure` rule flips each recorded mid-circuit
+/// bit (one deviate per executed measure — classical control downstream
+/// sees the flipped record). A static circuit draws only its plan sites,
+/// in op order, so the caller's shot and readout deviates follow them.
+DynamicRun walk(Engine& engine, const RunContext& run, Rng& rng) {
+  DynamicInstrument instrument;
+  instrument.afterOp = [&run, &rng](Engine& e, std::size_t i) {
+    drawPaulis(run.plan[i], rng, [&e](unsigned q, Pauli p) {
+      if (p != Pauli::kI) e.applyGate(Gate{pauliGateKind(p), {q}, {}});
+    });
+  };
+  if (run.model.hasReadoutError()) {
+    const double flip = run.model.readoutFlip();
+    instrument.recordMeasure = [&rng, flip](bool outcome) {
+      return rng.uniform() < flip ? !outcome : outcome;
+    };
+  }
+  return engine.runDynamic(run.circuit, rng, &instrument);
+}
+
+/// The frame path's per-trajectory draw: the sampled errors conjugated to
+/// the end of the circuit, visiting the plan sites exactly like walk().
+PauliFrame sampleFrame(const RunContext& run, Rng& rng) {
+  PauliFrame frame(run.circuit.numQubits());
+  for (std::size_t i = 0; i < run.circuit.gateCount(); ++i) {
+    frame.propagateThrough(run.circuit.gate(i));
+    drawPaulis(run.plan[i], rng,
+               [&frame](unsigned q, Pauli p) { frame.multiply(q, p); });
+  }
+  return frame;
+}
+
+/// Counts, Pauli-frame fast path: the ideal circuit runs once per worker;
+/// each trajectory XORs its frame's X mask into an ideal shot.
+void countFramed(const RunContext& run, Worker& worker, Counts& local) {
+  const unsigned n = run.circuit.numQubits();
+  const std::unique_ptr<Engine> engine = worker.newEngine(run.engineName, n);
+  engine->run(run.circuit);
+  worker.forEachTrajectory([&](unsigned, Rng& rng) {
+    const PauliFrame frame = sampleFrame(run, rng);
+    std::vector<bool> bits = engine->sampleShot(rng);
+    for (unsigned q = 0; q < n; ++q) {
+      if (frame.x(q)) bits[q] = !bits[q];
+    }
+    applyReadout(bits, run.model, rng);
+    ++local[bitsToString(bits)];
+  });
+  worker.absorb(*engine);
+}
+
+/// Counts, generic path: one fresh engine walks each trajectory. A dynamic
+/// circuit's output is its final classical register; a static one draws
+/// one full-register shot, then its readout flips.
+void countWalked(const RunContext& run, Worker& worker, Counts& local) {
+  const unsigned n = run.circuit.numQubits();
+  const bool dynamic = run.circuit.isDynamic();
+  worker.forEachTrajectory([&](unsigned, Rng& rng) {
+    const std::unique_ptr<Engine> engine = worker.newEngine(run.engineName, n);
+    const DynamicRun walked = walk(*engine, run, rng);
+    if (dynamic) {
+      ++local[bitsToString(walked.creg)];
+    } else {
+      std::vector<bool> bits = engine->sampleShot(rng);
+      applyReadout(bits, run.model, rng);
+      ++local[bitsToString(bits)];
+    }
+    worker.absorb(*engine);
+  });
+}
+
+}  // namespace
+
+// ---- trajectory expectations ----------------------------------------------
+
+namespace {
+
+/// An observable's strings prepared once per run for the workers.
+struct WeightedStrings {
+  WeightedStrings(const NoiseModel& model, const PauliObservable& observable)
+      : terms(observable.terms()) {
+    singles.reserve(terms.size());
+    weights.reserve(terms.size());
+    for (const PauliString& term : terms) {
+      singles.push_back(singleStringObservable(term));
+      weights.push_back(
+          term.coefficient *
+          (model.hasReadoutError()
+               ? std::pow(1.0 - 2.0 * model.readoutFlip(),
+                          static_cast<double>(term.factors.size()))
+               : 1.0));
+    }
+  }
+
+  const std::vector<PauliString>& terms;
+  /// terms[s] as a standalone 1.0-coefficient observable, so workers never
+  /// re-normalize factor lists.
+  std::vector<PauliObservable> singles;
+  /// c_s·(1−2p)^|support|: the coefficient times the closed form of the
+  /// symmetric readout flip on a parity observable, applied analytically so
+  /// no readout deviates are drawn.
+  std::vector<double> weights;
+};
+
+/// Expectations, Pauli-frame fast path: every string's ideal ⟨P⟩ is
+/// computed once per worker; a trajectory then only needs its frame's
+/// sign per string: F P F = ±P, with − exactly when F and P anticommute
+/// (symplectic product) — exact, because conjugating a Pauli observable by
+/// a Pauli error is again ±P.
+void expectFramed(const RunContext& run, const WeightedStrings& strings,
+                  Worker& worker, std::vector<double>& values) {
+  const std::unique_ptr<Engine> engine =
+      worker.newEngine(run.engineName, run.circuit.numQubits());
+  engine->run(run.circuit);
+  std::vector<double> ideal;
+  ideal.reserve(strings.singles.size());
+  for (std::size_t s = 0; s < strings.singles.size(); ++s)
+    ideal.push_back(strings.weights[s] *
+                    engine->expectation(strings.singles[s]));
+  worker.forEachTrajectory([&](unsigned t, Rng& rng) {
+    const PauliFrame frame = sampleFrame(run, rng);
+    double value = 0;
+    for (std::size_t s = 0; s < strings.terms.size(); ++s) {
+      bool anticommute = false;
+      for (const PauliFactor& f : strings.terms[s].factors) {
+        const bool px = f.op == Pauli::kX || f.op == Pauli::kY;
+        const bool pz = f.op == Pauli::kZ || f.op == Pauli::kY;
+        anticommute ^= (frame.x(f.qubit) && pz) != (frame.z(f.qubit) && px);
+      }
+      value += anticommute ? -ideal[s] : ideal[s];
+    }
+    values[t] = value;
+  });
+  worker.absorb(*engine);
+}
+
+/// Expectations, generic path: one fresh engine walks each trajectory and
+/// answers its (native or fallback) expectation exactly.
+void expectWalked(const RunContext& run, const WeightedStrings& strings,
+                  Worker& worker, std::vector<double>& values) {
+  worker.forEachTrajectory([&](unsigned t, Rng& rng) {
+    const std::unique_ptr<Engine> engine =
+        worker.newEngine(run.engineName, run.circuit.numQubits());
+    walk(*engine, run, rng);
+    double value = 0;
+    for (std::size_t s = 0; s < strings.singles.size(); ++s)
+      value += strings.weights[s] * engine->expectation(strings.singles[s]);
+    values[t] = value;
+    worker.absorb(*engine);
+  });
+}
+
+void requireSupported(const Engine& engine, const QuantumCircuit& circuit) {
+  if (!engine.supports(circuit)) {
+    throw NoiseError("engine '" + engine.name() +
+                     "' does not support this circuit");
+  }
+}
+
+}  // namespace
+
+// The name overloads build one probe instance, which answers supports()
+// and names the engine every worker instantiates. The built-ins keep it
+// cheap — in particular the statevector engine allocates its 2^n array
+// lazily, not at construction.
+TrajectoryResult runTrajectories(const std::string& engineName,
+                                 const QuantumCircuit& circuit,
+                                 const NoiseModel& model,
+                                 const TrajectoryOptions& options) {
+  const std::unique_ptr<Engine> probe =
+      makeEngine(engineName, circuit.numQubits());
+  return runTrajectories(*probe, circuit, model, options);
+}
+
+TrajectoryResult runTrajectories(Engine& prototype,
+                                 const QuantumCircuit& circuit,
+                                 const NoiseModel& model,
+                                 const TrajectoryOptions& options) {
+  requireSupported(prototype, circuit);
+  model.validateForWidth(circuit.numQubits());
+
+  TrajectoryResult result;
+  result.trajectories = options.trajectories;
+  result.usedPauliFrameFastPath = takesFramePath(circuit, options);
+  if (options.trajectories == 0) return result;
+  result.threadsUsed = workerCount(options);
+
+  const NoisePlan plan = buildNoisePlan(model, circuit);
+  const RunContext run{prototype.name(), circuit, model, plan};
+  const bool framePath = result.usedPauliFrameFastPath;
+  std::vector<Counts> locals(result.threadsUsed);
+  result.seconds =
+      runWorkers(result.threadsUsed, framePath, options, [&](Worker& worker) {
+        Counts& local = locals[worker.index()];
+        if (framePath) {
+          countFramed(run, worker, local);
+        } else {
+          countWalked(run, worker, local);
+        }
+      });
+  for (const Counts& local : locals) {
+    for (const auto& [key, count] : local) result.counts[key] += count;
+  }
+  return result;
+}
+
+ExpectationResult runTrajectoryExpectation(const std::string& engineName,
+                                           const QuantumCircuit& circuit,
+                                           const NoiseModel& model,
+                                           const PauliObservable& observable,
+                                           const TrajectoryOptions& options) {
+  const std::unique_ptr<Engine> probe =
+      makeEngine(engineName, circuit.numQubits());
+  return runTrajectoryExpectation(*probe, circuit, model, observable, options);
+}
+
+ExpectationResult runTrajectoryExpectation(Engine& prototype,
+                                           const QuantumCircuit& circuit,
+                                           const NoiseModel& model,
+                                           const PauliObservable& observable,
+                                           const TrajectoryOptions& options) {
+  requireSupported(prototype, circuit);
+  model.validateForWidth(circuit.numQubits());
+  observable.validateForWidth(circuit.numQubits());
+  if (circuit.isDynamic()) {
+    throw NoiseError(
+        "trajectory expectation requires a static circuit: a dynamic "
+        "circuit's <O> is conditioned on its classical outcome stream "
+        "(mirrors the CLI's --observable restriction)");
+  }
+
+  ExpectationResult result;
+  result.trajectories = options.trajectories;
+  result.usedPauliFrameFastPath = takesFramePath(circuit, options);
+  if (options.trajectories == 0) return result;
+  result.threadsUsed = workerCount(options);
+
+  const NoisePlan plan = buildNoisePlan(model, circuit);
+  const RunContext run{prototype.name(), circuit, model, plan};
+  const WeightedStrings strings(model, observable);
+  const bool framePath = result.usedPauliFrameFastPath;
+  // Indexed by trajectory: workers write disjoint slots, and the final
+  // reduction walks the indices in order — the float sums are therefore
+  // bit-identical for every thread count.
+  std::vector<double> values(options.trajectories, 0.0);
+  result.seconds =
+      runWorkers(result.threadsUsed, framePath, options, [&](Worker& worker) {
+        if (framePath) {
+          expectFramed(run, strings, worker, values);
+        } else {
+          expectWalked(run, strings, worker, values);
+        }
+      });
 
   double sum = 0;
   for (const double v : values) sum += v;
@@ -690,68 +628,6 @@ ExpectationResult runExpectationChecked(const std::string& engineName,
   result.standardError =
       result.stddev / std::sqrt(static_cast<double>(options.trajectories));
   return result;
-}
-
-}  // namespace
-
-ExpectationResult runTrajectoryExpectation(const std::string& engineName,
-                                           const QuantumCircuit& circuit,
-                                           const NoiseModel& model,
-                                           const PauliObservable& observable,
-                                           const TrajectoryOptions& options) {
-  {
-    const std::unique_ptr<Engine> probe =
-        makeEngine(engineName, circuit.numQubits());
-    if (!probe->supports(circuit)) {
-      throw NoiseError("engine '" + engineName +
-                       "' does not support this circuit");
-    }
-  }
-  return runExpectationChecked(engineName, circuit, model, observable,
-                               options);
-}
-
-ExpectationResult runTrajectoryExpectation(Engine& prototype,
-                                           const QuantumCircuit& circuit,
-                                           const NoiseModel& model,
-                                           const PauliObservable& observable,
-                                           const TrajectoryOptions& options) {
-  if (!prototype.supports(circuit)) {
-    throw NoiseError("engine '" + prototype.name() +
-                     "' does not support this circuit");
-  }
-  return runExpectationChecked(prototype.name(), circuit, model, observable,
-                               options);
-}
-
-TrajectoryResult runTrajectories(const std::string& engineName,
-                                 const QuantumCircuit& circuit,
-                                 const NoiseModel& model,
-                                 const TrajectoryOptions& options) {
-  {
-    // One probe instance answers supports() before any worker spawns. The
-    // built-ins keep this cheap — in particular the statevector engine
-    // allocates its 2^n array lazily, not at construction.
-    const std::unique_ptr<Engine> probe =
-        makeEngine(engineName, circuit.numQubits());
-    if (!probe->supports(circuit)) {
-      throw NoiseError("engine '" + engineName +
-                       "' does not support this circuit");
-    }
-  }
-  return runChecked(engineName, circuit, model, options);
-}
-
-TrajectoryResult runTrajectories(Engine& prototype,
-                                 const QuantumCircuit& circuit,
-                                 const NoiseModel& model,
-                                 const TrajectoryOptions& options) {
-  // The caller's instance answers supports() directly — no probe needed.
-  if (!prototype.supports(circuit)) {
-    throw NoiseError("engine '" + prototype.name() +
-                     "' does not support this circuit");
-  }
-  return runChecked(prototype.name(), circuit, model, options);
 }
 
 }  // namespace sliq::noise

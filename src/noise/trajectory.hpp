@@ -1,21 +1,28 @@
 // Stochastic-trajectory execution of noisy circuits.
 //
 // A trajectory is one Monte-Carlo realization of a noisy circuit: walk the
-// gate list, sample each attached Pauli channel (noise_model.hpp), and
-// execute the resulting concrete circuit on an engine, then draw one
+// gate list, sample each attached Pauli channel (noise_model.hpp) and apply
+// the sampled Paulis as the walk passes their sites, then draw one
 // full-register shot. Aggregating shots over many trajectories samples the
 // noisy device's output distribution.
 //
-// Execution paths, chosen deterministically from (circuit, model, options):
-//  - Pauli-frame fast path (Clifford circuits, any engine): the ideal
-//    circuit runs ONCE per worker; each trajectory only conjugates its
-//    sampled Pauli errors through the remaining Clifford gates (a
+// Execution paths, chosen deterministically from (circuit, options):
+//  - Pauli-frame fast path (static Clifford circuits, any engine): the
+//    ideal circuit runs ONCE per worker; each trajectory only conjugates
+//    its sampled Pauli errors through the remaining Clifford gates (a
 //    Pauli frame) and XORs the frame's X mask into an ideal shot. For the
 //    chp engine this is the "Clifford + Pauli noise stays fully stabilizer"
 //    path; it is valid for every engine because the frame algebra is
 //    engine-independent.
 //  - Generic path (any circuit): each trajectory instantiates a fresh
-//    engine, runs its sampled realization, and draws one shot.
+//    engine and walks the circuit through Engine::runDynamic, whose
+//    DynamicInstrument hooks inject the sampled Paulis after each executed
+//    op and flip mid-circuit readout records. Static circuits then draw one
+//    shot; dynamic circuits report their classical register. Static counts,
+//    dynamic counts and expectations all run this one walker.
+//
+// Both paths draw one deviate per channel site in the same canonical order
+// (plan sites in op order, then the shot, then readout flips).
 //
 // Thread-determinism contract: trajectory t consumes only the RNG substream
 // RngState{seed}.split(t) (see support/rng.hpp) and counts are an
@@ -59,16 +66,13 @@ struct TrajectoryOptions {
   std::uint64_t seed = 1;
   /// Disables the Pauli-frame fast path (tests and the bench baseline).
   bool forceGeneric = false;
-  /// Demands the Pauli-frame fast path, turning the silent fallback into a
-  /// strict error: throws NoiseError when the circuit is non-Clifford or
-  /// dynamic (frames do not commute through classical control), instead of
-  /// quietly running the generic path.
-  bool forcePauliFrame = false;
   /// Observability sink (DESIGN.md §11): when non-null and enabled, the
   /// runner records worker spans (one track per worker, merged in
-  /// worker-index order so the aggregate is deterministic) and trajectory
-  /// counters into it. Never owned; telemetry never touches the RNG
-  /// substreams, so results are bit-identical with or without it.
+  /// worker-index order so the aggregate is deterministic), trajectory
+  /// counters and the summed run reports of every engine the workers
+  /// instantiated (gates applied, cache lookups, ...) into it. Never owned;
+  /// telemetry never touches the RNG substreams, so results are
+  /// bit-identical with or without it.
   metrics::Registry* metrics = nullptr;
 };
 
@@ -92,10 +96,9 @@ struct TrajectoryResult {
 /// Runs `options.trajectories` noise trajectories of `circuit` under
 /// `model` on the engine registered as `engineName`, fanning them across
 /// worker threads. Throws NoiseError for an infeasible combination (model
-/// qubit filters out of range, engine unsupported for the circuit, a
-/// dynamic circuit with options.forcePauliFrame set).
+/// qubit filters out of range, engine unsupported for the circuit).
 ///
-/// Dynamic circuits run on a dedicated generic path: each trajectory
+/// Dynamic circuits always take the generic walker: each trajectory
 /// re-executes the classical control flow through Engine::runDynamic with
 /// its own substream, sampling the attached channels of each *executed* op
 /// in the shared canonical order (op deviates first — one per
@@ -108,9 +111,10 @@ TrajectoryResult runTrajectories(const std::string& engineName,
                                  const NoiseModel& model,
                                  const TrajectoryOptions& options = {});
 
-/// Facade overload: `prototype` names the engine (its own state is not
-/// touched — trajectory execution needs one engine instance per worker or
-/// per trajectory, created through the registry).
+/// Facade overload: `prototype` names the engine and answers supports()
+/// (its own state is not touched — trajectory execution needs one engine
+/// instance per worker or per trajectory, created through the registry).
+/// The name overload above builds such a prototype and forwards here.
 TrajectoryResult runTrajectories(Engine& prototype,
                                  const QuantumCircuit& circuit,
                                  const NoiseModel& model,
@@ -137,16 +141,17 @@ struct ExpectationResult {
   }
 };
 
-/// Estimates ⟨O⟩ on the noisy device: each trajectory samples a Pauli
-/// realization (consuming substream split(t) exactly like the histogram
-/// runner) and contributes its engine-exact expectation — no shot noise,
-/// only trajectory noise. Execution paths mirror runTrajectories: the
-/// generic path runs each realization on a fresh engine and calls
-/// Engine::expectation; the Pauli-frame fast path (Clifford circuits) runs
-/// the ideal circuit once per worker, computes each string's ideal ⟨P⟩
-/// once, and per trajectory only flips signs — a sampled frame F turns
-/// ⟨F P F⟩ into ±⟨P⟩ by Pauli (anti)commutation, which is exact (the
-/// channel.hpp "exact for Pauli observables" note). A `measure` rule scales
+/// Estimates ⟨O⟩ on the noisy device: each trajectory samples its Pauli
+/// errors (consuming substream split(t) exactly like the histogram runner)
+/// and contributes its engine-exact expectation — no shot noise, only
+/// trajectory noise. Execution paths mirror runTrajectories: the generic
+/// walker runs each trajectory on a fresh engine and calls
+/// Engine::expectation on the walked state; the Pauli-frame fast path
+/// (Clifford circuits) runs the ideal circuit once per worker, computes
+/// each string's ideal ⟨P⟩ once, and per trajectory only flips signs — a
+/// sampled frame F turns ⟨F P F⟩ into ±⟨P⟩ by Pauli (anti)commutation,
+/// which is exact (the channel.hpp "exact for Pauli observables" note).
+/// A `measure` rule scales
 /// each string by (1−2p)^|support| analytically: symmetric readout flips
 /// shrink a k-qubit parity by exactly that factor, and applying it in
 /// closed form keeps the deviate accounting (and hence thread determinism)
@@ -161,20 +166,13 @@ ExpectationResult runTrajectoryExpectation(const std::string& engineName,
                                            const PauliObservable& observable,
                                            const TrajectoryOptions& options = {});
 
-/// Facade overload: `prototype` names the engine (its state is untouched).
+/// Facade overload: `prototype` names the engine (its state is untouched);
+/// the name overload above forwards here.
 ExpectationResult runTrajectoryExpectation(Engine& prototype,
                                            const QuantumCircuit& circuit,
                                            const NoiseModel& model,
                                            const PauliObservable& observable,
                                            const TrajectoryOptions& options = {});
-
-/// One sampled Pauli-insertion realization of `circuit` under `model` —
-/// the generic path's per-trajectory circuit, exposed for tests. Consumes
-/// one uniform deviate per channel application, in gate order (gate1/gate2
-/// rules first, then idle rules, operands in (controls..., targets...)
-/// order, idle qubits ascending).
-QuantumCircuit sampleRealization(const QuantumCircuit& circuit,
-                                 const NoiseModel& model, Rng& rng);
 
 /// An n-qubit Pauli operator tracked up to phase (phases never affect
 /// Z-basis statistics), with conjugation through the Clifford gate set —

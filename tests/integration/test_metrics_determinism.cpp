@@ -143,32 +143,60 @@ TEST(MetricsDeterminism, TrajectoriesAreBitIdenticalWithTelemetryOn) {
   model.addAfterGate1(noise::PauliChannel::depolarizing1(0.02));
   model.addAfterGate2(noise::PauliChannel::depolarizing2(0.05));
 
-  for (const bool forceGeneric : {false, true}) {
-    SCOPED_TRACE(forceGeneric ? "generic path" : "fast path allowed");
+  struct Case {
+    const char* engine;
+    bool forceGeneric;
+    unsigned trajectories;
+  };
+  // chp runs the Clifford circuit on either path; exact walks the
+  // non-Clifford one on a fresh engine per trajectory (a small sample —
+  // every trajectory builds its own BDD manager).
+  const Case cases[] = {{"chp", false, 200}, {"chp", true, 200},
+                        {"exact", false, 20}};
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(std::string(tc.engine) +
+                 (tc.forceGeneric ? " generic path" : " fast path allowed"));
+    const QuantumCircuit circuit = circuitFor(tc.engine);
     noise::TrajectoryOptions plainOpts;
-    plainOpts.trajectories = 200;
+    plainOpts.trajectories = tc.trajectories;
     plainOpts.threads = 2;
     plainOpts.seed = kSeed;
-    plainOpts.forceGeneric = forceGeneric;
+    plainOpts.forceGeneric = tc.forceGeneric;
     const noise::TrajectoryResult plain =
-        noise::runTrajectories("chp", cliffordCircuit(), model, plainOpts);
+        noise::runTrajectories(tc.engine, circuit, model, plainOpts);
 
-    metrics::Registry sink;
-    sink.enable();
-    noise::TrajectoryOptions instrumentedOpts = plainOpts;
-    instrumentedOpts.metrics = &sink;
-    const noise::TrajectoryResult instrumented = noise::runTrajectories(
-        "chp", cliffordCircuit(), model, instrumentedOpts);
+    std::vector<metrics::Snapshot> snaps;
+    for (const unsigned threads : {2u, 1u}) {
+      SCOPED_TRACE(threads);
+      metrics::Registry sink;
+      sink.enable();
+      noise::TrajectoryOptions instrumentedOpts = plainOpts;
+      instrumentedOpts.threads = threads;
+      instrumentedOpts.metrics = &sink;
+      const noise::TrajectoryResult instrumented = noise::runTrajectories(
+          tc.engine, circuit, model, instrumentedOpts);
 
-    EXPECT_EQ(plain.counts, instrumented.counts);
-    EXPECT_EQ(plain.trajectories, instrumented.trajectories);
-    EXPECT_EQ(plain.usedPauliFrameFastPath,
-              instrumented.usedPauliFrameFastPath);
-    // The sink saw every trajectory, and one span per worker.
-    const metrics::Snapshot snap = sink.snapshot();
-    EXPECT_EQ(snap.counters.at("trajectories.executed"), 200u);
-    EXPECT_EQ(snap.timers.at("trajectory.worker").count, 2u);
-    EXPECT_EQ(snap.gauges.at("trajectory.threads"), 2.0);
+      EXPECT_EQ(plain.counts, instrumented.counts);
+      EXPECT_EQ(plain.trajectories, instrumented.trajectories);
+      EXPECT_EQ(plain.usedPauliFrameFastPath,
+                instrumented.usedPauliFrameFastPath);
+      // The sink saw every trajectory, and one span per worker.
+      snaps.push_back(sink.snapshot());
+      const metrics::Snapshot& snap = snaps.back();
+      EXPECT_EQ(snap.counters.at("trajectories.executed"), tc.trajectories);
+      EXPECT_EQ(snap.timers.at("trajectory.worker").count, threads);
+      EXPECT_EQ(snap.gauges.at("trajectory.threads"), threads);
+    }
+    // Every walked trajectory's engine reports its work into the sink, and
+    // the summed totals do not depend on which worker ran which trajectory.
+    if (plain.usedPauliFrameFastPath) continue;
+    std::vector<std::string> keys = {"gates.applied"};
+    if (std::string(tc.engine) == "exact") keys.push_back("cache.lookups");
+    for (const std::string& key : keys) {
+      SCOPED_TRACE(key);
+      EXPECT_GT(snaps[0].counters.at(key), 0u);
+      EXPECT_EQ(snaps[0].counters.at(key), snaps[1].counters.at(key));
+    }
   }
 }
 

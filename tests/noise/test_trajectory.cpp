@@ -103,48 +103,6 @@ TEST(PauliFrame, NonCliffordGateThrows) {
                NoiseError);
 }
 
-// ---- realization sampling --------------------------------------------------
-
-TEST(Realization, InsertsOnlyPaulisAndIsSeedDeterministic) {
-  const QuantumCircuit c = QuantumCircuit(3).h(0).cx(0, 1).cx(1, 2);
-  NoiseModel model;
-  model.addAfterGate1(PauliChannel::depolarizing1(0.5));
-  model.addAfterGate2(PauliChannel::depolarizing2(0.5));
-
-  Rng rngA(9), rngB(9);
-  const QuantumCircuit a = sampleRealization(c, model, rngA);
-  const QuantumCircuit b = sampleRealization(c, model, rngB);
-  ASSERT_EQ(a.gateCount(), b.gateCount());
-  for (std::size_t i = 0; i < a.gateCount(); ++i) {
-    EXPECT_EQ(a.gate(i).kind, b.gate(i).kind);
-    EXPECT_EQ(a.gate(i).targets, b.gate(i).targets);
-  }
-  // Inserted gates beyond the base ones must be bare Paulis.
-  EXPECT_GE(a.gateCount(), c.gateCount());
-  std::size_t base = 0;
-  for (std::size_t i = 0; i < a.gateCount(); ++i) {
-    const Gate& g = a.gate(i);
-    if (base < c.gateCount() && g.kind == c.gate(base).kind &&
-        g.targets == c.gate(base).targets &&
-        g.controls == c.gate(base).controls) {
-      ++base;
-      continue;
-    }
-    EXPECT_TRUE(g.kind == GateKind::kX || g.kind == GateKind::kY ||
-                g.kind == GateKind::kZ)
-        << "inserted gate " << gateName(g);
-    EXPECT_TRUE(g.controls.empty());
-  }
-  EXPECT_EQ(base, c.gateCount()) << "base circuit not preserved in order";
-}
-
-TEST(Realization, NoNoiseReturnsBaseCircuit) {
-  const QuantumCircuit c = QuantumCircuit(2).h(0).cx(0, 1);
-  Rng rng(1);
-  EXPECT_EQ(sampleRealization(c, NoiseModel(), rng).gateCount(),
-            c.gateCount());
-}
-
 // ---- noisy marginals vs closed form ---------------------------------------
 
 /// Pr[qubit = 1] from a counts histogram (bitstring keys, qubit n-1
@@ -322,6 +280,44 @@ TEST(TrajectoryDeterminism, CountsAreThreadCountInvariantGenericPath) {
   options.threads = 4;
   const TrajectoryResult four = runTrajectories("qmdd", c, model, options);
   EXPECT_EQ(one.counts, four.counts);
+}
+
+TEST(TrajectoryDeterminism, FixedSeedCountsPinTheDeviateOrder) {
+  // Hard-coded counts of the generic path on a small non-Clifford circuit
+  // under gate1, gate2, idle and readout rules: any change to the order in
+  // which a trajectory draws its deviates (plan sites in op order, then the
+  // shot, then the readout flips) changes these histograms. chp cannot run
+  // the circuit; each other engine maps deviates to shots its own way, so
+  // each carries its own pinned histogram.
+  const QuantumCircuit c =
+      QuantumCircuit(3).h(0).t(0).cx(0, 1).h(2).tdg(2).ccx(0, 2, 1).h(1);
+  NoiseModel model;
+  model.addAfterGate1(PauliChannel::depolarizing1(0.05));
+  model.addAfterGate2(PauliChannel::depolarizing2(0.08));
+  model.addIdle(PauliChannel::amplitudeDampingTwirl(0.02));
+  model.setReadoutFlip(0.03);
+  using Counts = std::map<std::string, std::uint64_t>;
+  const std::pair<const char*, Counts> pinned[] = {
+      {"exact",
+       {{"000", 10}, {"001", 6}, {"010", 7}, {"011", 8},
+        {"100", 9}, {"101", 8}, {"110", 10}, {"111", 6}}},
+      {"qmdd",
+       {{"000", 8}, {"001", 9}, {"010", 9}, {"011", 10},
+        {"100", 6}, {"101", 8}, {"110", 8}, {"111", 6}}},
+      {"statevector",
+       {{"000", 8}, {"001", 6}, {"010", 8}, {"011", 6},
+        {"100", 7}, {"101", 8}, {"110", 10}, {"111", 11}}},
+  };
+  for (const auto& [engine, expected] : pinned) {
+    SCOPED_TRACE(engine);
+    TrajectoryOptions options;
+    options.trajectories = 64;
+    options.seed = 2026;
+    options.threads = 3;
+    const TrajectoryResult result = runTrajectories(engine, c, model, options);
+    ASSERT_FALSE(result.usedPauliFrameFastPath);
+    EXPECT_EQ(result.counts, expected);
+  }
 }
 
 TEST(TrajectoryDeterminism, ShardedRunsMergeToMonolithicBitForBit) {

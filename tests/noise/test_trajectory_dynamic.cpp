@@ -1,8 +1,8 @@
 // Noise-trajectory execution of DYNAMIC circuits: per-trajectory replay of
 // the classical control flow under the PR 3 substream contract (thread-count
-// invariance, zero-noise equivalence with plain runDynamic), the strict
-// Pauli-frame refusal, and the 3-qubit bit-flip-code correction cycle whose
-// logical error rate has an exact closed form.
+// invariance, zero-noise equivalence with plain runDynamic), the Pauli-frame
+// refusal, and the 3-qubit bit-flip-code correction cycle whose logical
+// error rate has an exact closed form.
 #include "noise/trajectory.hpp"
 
 #include <gtest/gtest.h>
@@ -63,60 +63,69 @@ TEST(TrajectoryDynamic, ThreadCountNeverChangesDynamicCounts) {
 }
 
 TEST(TrajectoryDynamic, ZeroNoiseTrajectoriesReplayRunDynamicExactly) {
-  // With an empty model the trajectory worker must be bit-identical to
-  // plain runDynamic on substream split(t) — pinning that the dynamic walk
-  // lives in one place (the facade) and the noise path only instruments it.
-  const QuantumCircuit c = teleportCircuit();
+  // With an empty model the trajectory walker must be bit-identical to the
+  // ideal run on substream split(t) — pinning that the walk lives in one
+  // place (the facade's runDynamic) and the noise path only instruments
+  // it. A dynamic circuit reports plain runDynamic's register; a static
+  // non-Clifford one (the walker, not the frame path) reports one
+  // sampleShot of the ideal state.
   const NoiseModel ideal;
   TrajectoryOptions options;
   options.trajectories = 40;
   options.seed = 23;
   options.threads = 3;
-  const TrajectoryResult result =
-      runTrajectories("statevector", c, ideal, options);
-
-  std::map<std::string, std::uint64_t> expected;
   const RngState root{options.seed};
+
+  const QuantumCircuit dynamic = teleportCircuit();
+  std::map<std::string, std::uint64_t> expected;
   for (unsigned t = 0; t < options.trajectories; ++t) {
     std::unique_ptr<Engine> engine = makeEngine("statevector", 3);
     Rng rng = root.split(t).rng();
-    const DynamicRun run = engine->runDynamic(c, rng);
+    const DynamicRun run = engine->runDynamic(dynamic, rng);
     ++expected[bitsToString(run.creg)];
   }
-  EXPECT_EQ(result.counts, expected);
+  EXPECT_EQ(runTrajectories("statevector", dynamic, ideal, options).counts,
+            expected);
+
+  const QuantumCircuit stat = QuantumCircuit(3).h(0).t(0).cx(0, 1).h(2).h(1);
+  expected.clear();
+  for (unsigned t = 0; t < options.trajectories; ++t) {
+    std::unique_ptr<Engine> engine = makeEngine("statevector", 3);
+    engine->run(stat);
+    Rng rng = root.split(t).rng();
+    ++expected[bitsToString(engine->sampleShot(rng))];
+  }
+  const TrajectoryResult walked =
+      runTrajectories("statevector", stat, ideal, options);
+  EXPECT_FALSE(walked.usedPauliFrameFastPath);
+  EXPECT_EQ(walked.counts, expected);
 }
 
 TEST(TrajectoryDynamic, PauliFramePathIsStrictlyRefusedForDynamicCircuits) {
-  const QuantumCircuit dynamic = teleportCircuit();
+  // Frames do not commute through classical control: a dynamic Clifford
+  // circuit on chp runs the walker (its histogram is keyed by the 2-bit
+  // classical register), while the static Clifford circuit takes the fast
+  // path.
   const NoiseModel model = basicModel();
   TrajectoryOptions options;
   options.trajectories = 10;
-  options.forcePauliFrame = true;
-  // Dynamic circuit: frames do not commute through classical control.
-  EXPECT_THROW(runTrajectories("chp", dynamic, model, options), NoiseError);
-  // Non-Clifford static circuit: frames cannot conjugate through T.
-  const QuantumCircuit tCircuit = QuantumCircuit(2).h(0).t(0).cx(0, 1);
-  EXPECT_THROW(runTrajectories("statevector", tCircuit, model, options),
-               NoiseError);
-  // Mutually-exclusive force flags.
-  options.forceGeneric = true;
+  const TrajectoryResult walked =
+      runTrajectories("chp", teleportCircuit(), model, options);
+  EXPECT_FALSE(walked.usedPauliFrameFastPath);
+  for (const auto& [bits, count] : walked.counts) EXPECT_EQ(bits.size(), 2u);
+
   const QuantumCircuit clifford = QuantumCircuit(2).h(0).cx(0, 1);
-  EXPECT_THROW(runTrajectories("chp", clifford, model, options), NoiseError);
-  // Sanity: forcing the frame path on a Clifford static circuit is honored.
-  options.forceGeneric = false;
   const TrajectoryResult framed =
       runTrajectories("chp", clifford, model, options);
   EXPECT_TRUE(framed.usedPauliFrameFastPath);
 }
 
-TEST(TrajectoryDynamic, ExpectationAndRealizationRejectDynamicCircuits) {
+TEST(TrajectoryDynamic, ExpectationRejectsDynamicCircuits) {
   const QuantumCircuit c = teleportCircuit();
   PauliObservable obs;
   obs.addTerm(1.0, {PauliFactor{2, Pauli::kY}});
   EXPECT_THROW(runTrajectoryExpectation("statevector", c, basicModel(), obs),
                NoiseError);
-  Rng rng(1);
-  EXPECT_THROW(sampleRealization(c, basicModel(), rng), NoiseError);
 }
 
 TEST(TrajectoryDynamic, MidCircuitReadoutErrorFlipsTheRecordItself) {

@@ -4,11 +4,7 @@
 Rules (see DESIGN.md §10 and support/assert.hpp):
 
   R1 ref-pairing      A file that calls BddManager::ref() must also call
-                      deref() (lexical pairing of manual refcount traffic),
-                      unless the call site carries a `// lint: ref-handoff`
-                      annotation documenting an ownership transfer (a raw
-                      edge handed back already referenced, which the
-                      caller must deref once).
+                      deref() (lexical pairing of manual refcount traffic).
   R2 memo-traversal   Functions annotated `// lint: memo-traversal` memoize
                       node ids / edge words; creating nodes or running GC
                       inside them would invalidate the keys mid-walk. Their
@@ -102,26 +98,19 @@ DEREF_CALL = re.compile(r"\bderef\s*\(")
 SIGNATURE = re.compile(r"^\s*(?:void|Edge|auto|bool|int)\b[^;{]*\bref\s*\(")
 
 
-def check_ref_pairing(path: Path, text: str, code: str) -> list[Finding]:
-    raw_lines = text.splitlines()
-    code_lines = code.splitlines()
+def check_ref_pairing(path: Path, code: str) -> list[Finding]:
     ref_sites = []
     has_deref = False
-    for idx, cline in enumerate(code_lines):
+    for idx, cline in enumerate(code.splitlines()):
         if DEREF_CALL.search(cline):
             has_deref = True
         if REF_CALL.search(cline) and not SIGNATURE.match(cline):
-            raw = raw_lines[idx] if idx < len(raw_lines) else ""
-            prev = raw_lines[idx - 1] if idx > 0 else ""
-            if "lint: ref-handoff" in raw or "lint: ref-handoff" in prev:
-                continue
             ref_sites.append(idx + 1)
     if ref_sites and not has_deref:
         return [
             Finding(path, ln, "R1",
                     "ref() call without a lexically paired deref() in this "
-                    "file; annotate `// lint: ref-handoff` if ownership is "
-                    "handed to the caller")
+                    "file")
             for ln in ref_sites
         ]
     return []
@@ -232,7 +221,7 @@ def lint_file(path: Path) -> list[Finding]:
     text = path.read_text(encoding="utf-8", errors="replace")
     code = strip_comments_and_strings(text)
     findings = []
-    findings += check_ref_pairing(path, text, code)
+    findings += check_ref_pairing(path, code)
     findings += check_memo_traversal(path, text, code)
     findings += check_rand(path, code)
     findings += check_assert_purity(path, code)

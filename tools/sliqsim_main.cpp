@@ -186,6 +186,25 @@ bool emitTelemetry(const Options& opt, const sliq::metrics::RunReport& report,
   return true;
 }
 
+/// The run report of a CLI engine that never ran itself but absorbed the
+/// registries of the engines that did (per-shot dynamic re-execution, noise
+/// trajectories). Its own runMetrics() would overwrite the aggregated
+/// counters with its native (zero) totals, so the report is assembled from
+/// the merged registry instead.
+sliq::metrics::RunReport aggregatedReport(sliq::Engine& engine) {
+  engine.metrics().gaugeSet(
+      "threads.resolved",
+      static_cast<double>(engine.resolvedExecutionThreads()));
+  engine.metrics().gaugeMax("rss.high_water_bytes",
+                            static_cast<double>(sliq::peakRssBytes()));
+  sliq::metrics::RunReport report;
+  report.engine = engine.name();
+  report.qubits = engine.numQubits();
+  report.metrics = engine.metrics().snapshot();
+  sliq::metrics::pinCommonSchemaKeys(report.metrics);
+  return report;
+}
+
 /// The one engine setup every CLI path shares: with telemetry on, the
 /// engine's registry is enabled and absorbs the pre-engine CLI phases
 /// (parse, optimize, dispatch); --threads partitions single-circuit
@@ -699,7 +718,7 @@ int main(int argc, char** argv) {
                                                     : "generic path")
                   << ", " << engine->name() << ")\n";
         if (telemetry &&
-            !emitTelemetry(opt, engine->runMetrics(), engine->metrics())) {
+            !emitTelemetry(opt, aggregatedReport(*engine), engine->metrics())) {
           return 1;
         }
         return 0;
@@ -758,21 +777,9 @@ int main(int argc, char** argv) {
                   << " dynamic shots (classical register bits, per-shot "
                      "re-execution) in "
                   << timer.seconds() << " s (" << engine->name() << ")\n";
-        if (telemetry) {
-          // The facade `engine` never ran; calling its runMetrics() would
-          // overwrite the aggregated counters with its own (zero) native
-          // totals, so the report is assembled from the merged registry.
-          engine->metrics().gaugeSet(
-              "threads.resolved",
-              static_cast<double>(engine->resolvedExecutionThreads()));
-          engine->metrics().gaugeMax("rss.high_water_bytes",
-                                     static_cast<double>(peakRssBytes()));
-          metrics::RunReport report;
-          report.engine = engine->name();
-          report.qubits = circuit.numQubits();
-          report.metrics = engine->metrics().snapshot();
-          metrics::pinCommonSchemaKeys(report.metrics);
-          if (!emitTelemetry(opt, report, engine->metrics())) return 1;
+        if (telemetry &&
+            !emitTelemetry(opt, aggregatedReport(*engine), engine->metrics())) {
+          return 1;
         }
         return 0;
       }
