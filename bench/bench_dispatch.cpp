@@ -1,12 +1,9 @@
 // --engine auto dispatch bench: planner throughput (plans/sec — the
 // analyzer pass plus the portfolio scoring loop) on the three canonical
-// workloads, with two built-in correctness gates:
-//   1. the planner must pick the expected engine on every fixture (the
-//      same selection the CI dispatch smoke asserts through the CLI), and
-//   2. a chp-prefix handoff run must agree with the monolithic run to
-//      1e-10 on every per-qubit probability.
-// Either failing exits 1 — the plan is part of the product surface, not
-// just a speed knob.
+// workloads, with one built-in correctness gate: the planner must pick the
+// expected engine on every fixture (the same selection the CI dispatch
+// smoke asserts through the CLI). A wrong pick exits 1 — the plan is part
+// of the product surface, not just a speed knob.
 //
 // Output: an ASCII table on stdout plus a JSON record written to
 // $SLIQ_BENCH_JSON or BENCH_dispatch.json. The committed baseline pins
@@ -16,18 +13,15 @@
 //
 // Knobs: SLIQ_BENCH_SCALE percent scales repetition counts (ctest smoke
 // runs at 25%); SLIQ_BENCH_JSON overrides the JSON output path.
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "circuit/circuit.hpp"
 #include "core/dispatch.hpp"
-#include "core/engine_registry.hpp"
 #include "harness.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
@@ -36,7 +30,6 @@ namespace sliq::bench {
 namespace {
 
 constexpr unsigned kPlanRepetitions = 2000;
-constexpr unsigned kHandoffRepetitions = 8;
 
 QuantumCircuit ghzCircuit(unsigned n) {
   QuantumCircuit c(n, "ghz" + std::to_string(n));
@@ -70,25 +63,13 @@ struct PlanCase {
   unsigned gates = 0;
   unsigned repetitions = 0;
   double planSeconds = 0;
-  bool handoff = false;
 
   double plansPerSecond() const {
     return planSeconds > 0 ? repetitions / planSeconds : 0;
   }
 };
 
-struct HandoffResult {
-  std::string circuit;
-  std::string engine;
-  std::size_t split = 0;
-  unsigned repetitions = 0;
-  double monolithicSeconds = 0;
-  double handoffSeconds = 0;
-  double maxAbsProbDiff = 0;
-  bool agree = true;
-};
-
-void writeJson(const std::vector<PlanCase>& cases, const HandoffResult& h) {
+void writeJson(const std::vector<PlanCase>& cases) {
   const char* env = std::getenv("SLIQ_BENCH_JSON");
   const std::string path = env != nullptr ? env : "BENCH_dispatch.json";
   std::ofstream os(path);
@@ -100,17 +81,10 @@ void writeJson(const std::vector<PlanCase>& cases, const HandoffResult& h) {
        << "\", \"gates\": " << r.gates
        << ", \"repetitions\": " << r.repetitions
        << ", \"plan_s\": " << r.planSeconds
-       << ", \"plans_per_s\": " << r.plansPerSecond()
-       << ", \"handoff\": " << (r.handoff ? "true" : "false") << "}"
+       << ", \"plans_per_s\": " << r.plansPerSecond() << "}"
        << (i + 1 < cases.size() ? "," : "") << "\n";
   }
-  os << "  ],\n  \"handoff\": {\"circuit\": \"" << h.circuit
-     << "\", \"engine\": \"" << h.engine << "\", \"split\": " << h.split
-     << ", \"repetitions\": " << h.repetitions
-     << ", \"monolithic_s\": " << h.monolithicSeconds
-     << ", \"handoff_s\": " << h.handoffSeconds
-     << ", \"max_abs_prob_diff\": " << h.maxAbsProbDiff
-     << ", \"agree_1e10\": " << (h.agree ? "true" : "false") << "}\n}\n";
+  os << "  ]\n}\n";
   std::cout << "wrote " << path << "\n";
 }
 
@@ -119,54 +93,6 @@ std::string round1(double v) {
   os.precision(v < 10 ? 1 : 0);
   os << std::fixed << v;
   return os.str();
-}
-
-/// One handoff-vs-monolithic agreement + timing pass on the dispatcher's
-/// own plan for `circuit` (the engine and split come from planEngine, the
-/// same decision the CLI executes).
-HandoffResult runHandoffComparison(const QuantumCircuit& circuit) {
-  const EnginePlan plan = planEngine(circuit);
-  HandoffResult h;
-  h.circuit = circuit.name();
-  h.engine = plan.chosen;
-  h.split = plan.splitIndex;
-  h.repetitions = std::max(1u, scaled(kHandoffRepetitions));
-  if (!plan.handoff) {
-    std::cerr << "ERROR: expected a handoff plan for " << circuit.name()
-              << "\n";
-    std::exit(1);
-  }
-  const unsigned n = circuit.numQubits();
-  std::unique_ptr<Engine> monolithic;
-  {
-    WallTimer timer;
-    for (unsigned i = 0; i < h.repetitions; ++i) {
-      monolithic = makeEngine(plan.chosen, n);
-      monolithic->run(circuit);
-    }
-    h.monolithicSeconds = timer.seconds();
-  }
-  std::unique_ptr<Engine> split;
-  {
-    WallTimer timer;
-    for (unsigned i = 0; i < h.repetitions; ++i) {
-      const std::unique_ptr<Engine> prefix = makeEngine("chp", n);
-      for (std::size_t g = 0; g < plan.splitIndex; ++g)
-        prefix->applyGate(circuit.gate(g));
-      split = makeEngine(plan.chosen, n);
-      prefix->exportTo(*split);
-      for (std::size_t g = plan.splitIndex; g < circuit.gateCount(); ++g)
-        split->applyGate(circuit.gate(g));
-    }
-    h.handoffSeconds = timer.seconds();
-  }
-  for (unsigned q = 0; q < n; ++q) {
-    h.maxAbsProbDiff =
-        std::max(h.maxAbsProbDiff, std::abs(split->probabilityOne(q) -
-                                            monolithic->probabilityOne(q)));
-  }
-  h.agree = h.maxAbsProbDiff <= 1e-10;
-  return h;
 }
 
 void report() {
@@ -199,34 +125,21 @@ void report() {
       r.planSeconds = timer.seconds();
     }
     r.chosen = plan.chosen;
-    r.handoff = plan.handoff;
     allChosen = allChosen && r.chosen == r.expected;
     cases.push_back(r);
   }
 
-  const HandoffResult handoff = runHandoffComparison(cliffordPlusT(16));
-
-  AsciiTable table({"Circuit", "Gates", "Expected", "Chosen", "Plans/s",
-                    "Handoff"});
+  AsciiTable table({"Circuit", "Gates", "Expected", "Chosen", "Plans/s"});
   for (const PlanCase& r : cases) {
     table.addRow({r.circuit, std::to_string(r.gates), r.expected, r.chosen,
-                  round1(r.plansPerSecond()), r.handoff ? "yes" : "no"});
+                  round1(r.plansPerSecond())});
   }
   std::cout << "--engine auto planner throughput (analyzer pass + portfolio "
                "scoring per plan)\n\n";
   table.print(std::cout);
-  std::cout << "\nhandoff vs monolithic on " << handoff.circuit << " ("
-            << handoff.engine << ", split " << handoff.split
-            << "): " << formatSeconds(handoff.handoffSeconds) << " vs "
-            << formatSeconds(handoff.monolithicSeconds)
-            << ", max |dp| = " << handoff.maxAbsProbDiff << "\n";
-  writeJson(cases, handoff);
+  writeJson(cases);
   if (!allChosen) {
     std::cerr << "ERROR: planner picked an unexpected engine\n";
-    std::exit(1);
-  }
-  if (!handoff.agree) {
-    std::cerr << "ERROR: handoff and monolithic runs disagree\n";
     std::exit(1);
   }
 }

@@ -46,8 +46,8 @@ struct CircuitFeatures {
   /// Largest connected component of the qubit interaction graph (qubits
   /// joined by shared multi-qubit ops) — how wide entanglement can reach.
   unsigned interactionWidth = 0;
-  /// Longest prefix of unconditioned unitary Clifford ops — the segment a
-  /// mid-circuit chp → best-engine handoff can run on the tableau.
+  /// Longest prefix of unconditioned unitary Clifford ops — the segment
+  /// the chp tableau can run before an exportTo (DESIGN.md §13).
   std::size_t cliffordPrefixGates = 0;
   /// QuantumCircuit::isDynamic().
   bool dynamic = false;

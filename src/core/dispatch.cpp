@@ -13,8 +13,8 @@ namespace sliq {
 namespace {
 
 // Relative per-gate node-touch cost of the two decision-diagram engines.
-// The bit-sliced Z[√2] representation packs a node tighter than the
-// complex-table QMDD node, so on equal structure exact wins the tie.
+// Placeholders, not measurements: they only make exact win ties on equal
+// structure, and the model ignores engine construction (DESIGN.md §13).
 constexpr double kExactNodeCost = 64.0;
 constexpr double kQmddNodeCost = 80.0;
 
@@ -112,17 +112,6 @@ EnginePlan planEngine(const QuantumCircuit& circuit,
   SLIQ_CHECK(best != nullptr,
              "engine auto: no registered engine is feasible for this circuit");
   plan.chosen = best->name;
-
-  // Handoff: a static circuit with a long Clifford prefix runs the prefix
-  // on the tableau and converts into the chosen engine at the split. The
-  // chp plan itself never splits, and neither do dynamic circuits (the
-  // deviate-stream contract pins the whole run to one engine).
-  if (!plan.features.dynamic && plan.chosen != "chp" &&
-      plan.features.cliffordPrefixGates >= kMinHandoffPrefixGates &&
-      plan.features.cliffordPrefixGates < plan.features.gateCount) {
-    plan.handoff = true;
-    plan.splitIndex = plan.features.cliffordPrefixGates;
-  }
   return plan;
 }
 
@@ -147,19 +136,13 @@ void recordPlan(const EnginePlan& plan, metrics::Registry& registry) {
                     static_cast<double>(f.interactionWidth));
   registry.gaugeSet("dispatch.feature.clifford_prefix",
                     static_cast<double>(f.cliffordPrefixGates));
-  registry.gaugeSet("dispatch.handoff", plan.handoff ? 1.0 : 0.0);
-  registry.gaugeSet("dispatch.split_index",
-                    static_cast<double>(plan.splitIndex));
 }
 
 std::string planRationale(const EnginePlan& plan) {
   const CircuitFeatures& f = plan.features;
   std::ostringstream os;
-  os << "engine auto: chose '" << plan.chosen << "'";
-  if (plan.handoff) {
-    os << " with chp handoff after gate " << plan.splitIndex;
-  }
-  os << "\n  features: " << f.numQubits << " qubit(s), " << f.gateCount
+  os << "engine auto: chose '" << plan.chosen << "'\n  features: "
+     << f.numQubits << " qubit(s), " << f.gateCount
      << " op(s), clifford fraction " << shortDouble(f.cliffordFraction)
      << ", T count " << f.tCount << ", 2q depth " << f.twoQubitDepth
      << ", interaction width " << f.interactionWidth << ", dynamic ops "

@@ -47,7 +47,6 @@ class ExactEngine final : public Engine {
 
   const std::string& name() const override { return name_; }
   unsigned numQubits() const override { return sim_.numQubits(); }
-  void applyGate(const Gate& gate) override { sim_.applyGate(gate); }
   double probabilityOne(unsigned qubit) override {
     return sim_.probabilityOne(qubit);
   }
@@ -118,7 +117,6 @@ class ExactEngine final : public Engine {
   void fillRunReport() override {
     const bdd::ManagerStats& s = sim_.bddManager().stats();
     metrics::Registry& m = metrics();
-    m.counterSet("gates.applied", sim_.stats().gatesApplied);
     m.counterSet("gc.runs", s.gcRuns);
     m.counterSet("gc.reclaimed_nodes", s.gcReclaimed);
     m.counterSet("cache.lookups", s.cacheLookups);
@@ -135,9 +133,11 @@ class ExactEngine final : public Engine {
   }
 
  private:
+  void applyGateImpl(const Gate& gate) override { sim_.applyGate(gate); }
   void runStatic(const QuantumCircuit& circuit) override {
     // The exact engine applies gates verbatim (no fusion pass).
     metrics().add("gates.post_fusion", circuit.gateCount());
+    metrics().add("gates.applied", circuit.gateCount());
     const metrics::ScopedSpan span(metrics(), "gate_loop");
     sim_.run(circuit);
   }
@@ -156,7 +156,6 @@ class QmddEngine final : public Engine {
 
   const std::string& name() const override { return name_; }
   unsigned numQubits() const override { return sim_.numQubits(); }
-  void applyGate(const Gate& gate) override { sim_.applyGate(gate); }
   double probabilityOne(unsigned qubit) override {
     return sim_.probabilityOne(qubit);
   }
@@ -247,6 +246,7 @@ class QmddEngine final : public Engine {
   }
 
  private:
+  void applyGateImpl(const Gate& gate) override { sim_.applyGate(gate); }
   void runStatic(const QuantumCircuit& circuit) override {
     // Fused execution: one matrix-DD multiply per fused block instead of
     // one per gate (optimizer.hpp).
@@ -275,7 +275,6 @@ class ChpEngine final : public Engine {
   bool supports(const QuantumCircuit& c) const override {
     return StabilizerSimulator::supports(c);
   }
-  void applyGate(const Gate& gate) override { sim_.applyGate(gate); }
   void saveStatePayload(serialize::Writer& out) override {
     sim_.saveStatePayload(out);
   }
@@ -336,6 +335,7 @@ class ChpEngine final : public Engine {
   }
 
  private:
+  void applyGateImpl(const Gate& gate) override { sim_.applyGate(gate); }
   void runStatic(const QuantumCircuit& circuit) override {
     // Clifford gates apply verbatim (no fusion pass for tableaus).
     metrics().add("gates.post_fusion", circuit.gateCount());
@@ -364,7 +364,6 @@ class StatevectorEngine final : public Engine {
   bool supports(const QuantumCircuit& c) const override {
     return c.numQubits() <= kMaxQubits && n_ <= kMaxQubits;
   }
-  void applyGate(const Gate& gate) override { sim().applyGate(gate); }
   // sim() forces the lazy allocation: loading INTO a never-used engine is
   // the checkpoint-restore path, and saving pays the allocation anyway.
   void saveStatePayload(serialize::Writer& out) override {
@@ -471,6 +470,7 @@ class StatevectorEngine final : public Engine {
   }
 
  private:
+  void applyGateImpl(const Gate& gate) override { sim().applyGate(gate); }
   void runStatic(const QuantumCircuit& circuit) override {
     // Fused execution: one amplitude-array traversal per fused block
     // instead of one per gate (optimizer.hpp).
@@ -605,7 +605,6 @@ DynamicRun Engine::runDynamic(const QuantumCircuit& circuit, Rng& rng,
   // need per-op execution), so the post-fusion count equals the op count.
   metrics_.add("gates.post_fusion", circuit.gateCount());
   const metrics::ScopedSpan span(metrics_, "engine.run_dynamic");
-  std::uint64_t applied = 0;
   std::uint64_t creg = 0;
   for (std::size_t i = 0; i < circuit.gateCount(); ++i) {
     const Gate& op = circuit.gate(i);
@@ -632,14 +631,12 @@ DynamicRun Engine::runDynamic(const QuantumCircuit& circuit, Rng& rng,
         break;
       default:
         applyGate(op);
-        ++applied;
         break;
     }
     if (instrument != nullptr && instrument->afterOp) {
       instrument->afterOp(*this, i);
     }
   }
-  metrics_.add("gates.applied", applied);
   metrics_.add("dynamic.measures", result.measures);
   metrics_.add("dynamic.resets", result.resets);
   metrics_.gaugeMax("rss.high_water_bytes",

@@ -66,7 +66,8 @@ struct DynamicRun {
 };
 
 /// Optional per-op instrumentation for runDynamic(). The noise subsystem
-/// injects sampled error gates and readout flips through these hooks so the
+/// injects sampled error gates (through Engine::injectGate, so they are
+/// not counted as circuit gates) and readout flips through these hooks so the
 /// classical-control walk (condition evaluation, deviate order, creg
 /// updates) lives in exactly one place. Hooks fire for *executed* ops only.
 struct DynamicInstrument {
@@ -119,10 +120,18 @@ class Engine {
                         const DynamicInstrument* instrument = nullptr);
 
   /// Applies one unitary gate to the current state (the per-op primitive
-  /// runDynamic drives; also useful for incremental state preparation).
-  /// Throws for the non-unitary kinds (kMeasure/kReset) and, for engines
-  /// with a restricted gate set, for unsupported gates.
-  virtual void applyGate(const Gate& gate) = 0;
+  /// runDynamic drives; also useful for incremental state preparation) and
+  /// counts it in `gates.applied`. Throws for the non-unitary kinds
+  /// (kMeasure/kReset) and, for engines with a restricted gate set, for
+  /// unsupported gates.
+  void applyGate(const Gate& gate) {
+    applyGateImpl(gate);
+    metrics_.add("gates.applied");
+  }
+  /// Applies a gate that is not a circuit op (a Pauli the noise instrument
+  /// injects): applyGate() without the `gates.applied` count, so that
+  /// counter means the same executed circuit ops on every engine.
+  void injectGate(const Gate& gate) { applyGateImpl(gate); }
 
   /// Pr[qubit = 1]; throws std::invalid_argument for qubit >= numQubits().
   virtual double probabilityOne(unsigned qubit) = 0;
@@ -140,7 +149,7 @@ class Engine {
   /// semantics and deviate count, pinned across engines).
   virtual bool reset(unsigned qubit, double random) {
     const bool was = measure(qubit, random);
-    if (was) applyGate(Gate{GateKind::kX, {qubit}, {}});
+    if (was) injectGate(Gate{GateKind::kX, {qubit}, {}});
     return was;
   }
   /// One full-register shot (bit q = outcome of qubit q) from the state
@@ -282,8 +291,11 @@ class Engine {
   }
 
   /// run() body for a static circuit, called after the facade has rejected
-  /// dynamic circuits.
+  /// dynamic circuits. Adds the ops it executed to `gates.applied`.
   virtual void runStatic(const QuantumCircuit& circuit) = 0;
+
+  /// applyGate()/injectGate() body.
+  virtual void applyGateImpl(const Gate& gate) = 0;
 
   /// setExecutionThreads() body: receives the RESOLVED worker count (never
   /// the 0 auto sentinel). Engines without an intra-circuit parallel path

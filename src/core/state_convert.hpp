@@ -23,10 +23,10 @@
 //   —        — no route: ConversionError (a generic state is not a
 //              stabilizer state; doubles have no exact Z[√2] decomposition)
 //
-// The conversion is what makes mid-circuit engine handoff possible: run a
-// Clifford prefix on chp, exportTo the scored-best engine, finish there —
-// pinned bit-identical (<= 1e-10 on probabilities and expectations) against
-// monolithic runs by the differential harness.
+// A library API with no CLI caller: the differential harness runs a
+// Clifford prefix on chp, exportTo's another engine and finishes there,
+// pinned (<= 1e-10 on probabilities and expectations) against monolithic
+// runs at every split point.
 #pragma once
 
 #include <stdexcept>
@@ -35,8 +35,8 @@
 namespace sliq {
 
 /// No conversion route exists between the two representations (or the
-/// target was not of the same width). Typed so the dispatcher/handoff
-/// layer can catch it and fall back to a monolithic run.
+/// target was not of the same width). Typed so a caller can tell a
+/// missing route apart from a MemoryBudgetError.
 class ConversionError : public std::runtime_error {
  public:
   explicit ConversionError(const std::string& what)

@@ -372,7 +372,7 @@ DynamicRun walk(Engine& engine, const RunContext& run, Rng& rng) {
   DynamicInstrument instrument;
   instrument.afterOp = [&run, &rng](Engine& e, std::size_t i) {
     drawPaulis(run.plan[i], rng, [&e](unsigned q, Pauli p) {
-      if (p != Pauli::kI) e.applyGate(Gate{pauliGateKind(p), {q}, {}});
+      if (p != Pauli::kI) e.injectGate(Gate{pauliGateKind(p), {q}, {}});
     });
   };
   if (run.model.hasReadoutError()) {

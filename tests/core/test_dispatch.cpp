@@ -1,7 +1,6 @@
 // Dispatch planner: engine selection on the three canonical workloads
 // (pure Clifford → chp, wide Clifford+T → exact, narrow dense → dense
-// statevector), feasibility gating, handoff decisions, and the dispatch.*
-// metrics encoding.
+// statevector), feasibility gating, and the dispatch.* metrics encoding.
 #include "core/dispatch.hpp"
 
 #include <gtest/gtest.h>
@@ -48,7 +47,6 @@ const EngineScore& scoreOf(const EnginePlan& plan, const std::string& name) {
 TEST(Dispatch, PureCliffordChoosesChp) {
   const EnginePlan plan = planEngine(ghzCircuit(8));
   EXPECT_EQ(plan.chosen, "chp");
-  EXPECT_FALSE(plan.handoff);  // chp never hands off to itself
   EXPECT_TRUE(scoreOf(plan, "chp").feasible);
   // Every engine is feasible here, but the tableau is cheapest by orders
   // of magnitude.
@@ -58,7 +56,7 @@ TEST(Dispatch, PureCliffordChoosesChp) {
   }
 }
 
-TEST(Dispatch, WideCliffordPlusTChoosesExactWithHandoff) {
+TEST(Dispatch, WideCliffordPlusTChoosesExact) {
   // 28 qubits: 2^28 amplitudes = 4 GiB, over the default 1 GiB budget, so
   // the dense engine is infeasible; the T layer rules out chp; of the two
   // decision-diagram engines the bit-sliced exact node is cheaper.
@@ -68,9 +66,6 @@ TEST(Dispatch, WideCliffordPlusTChoosesExactWithHandoff) {
   EXPECT_FALSE(scoreOf(plan, "statevector").feasible);
   EXPECT_TRUE(scoreOf(plan, "qmdd").feasible);
   EXPECT_LT(scoreOf(plan, "exact").cost, scoreOf(plan, "qmdd").cost);
-  // The 28-gate GHZ prefix is Clifford: run it on chp, convert, finish.
-  EXPECT_TRUE(plan.handoff);
-  EXPECT_EQ(plan.splitIndex, 28u);
 }
 
 TEST(Dispatch, NarrowDenseCircuitChoosesStatevector) {
@@ -81,9 +76,6 @@ TEST(Dispatch, NarrowDenseCircuitChoosesStatevector) {
   EXPECT_EQ(plan.chosen, "statevector");
   EXPECT_FALSE(scoreOf(plan, "chp").feasible);
   EXPECT_LT(scoreOf(plan, "statevector").cost, scoreOf(plan, "exact").cost);
-  // The leading H layer is a 10-gate Clifford prefix — handoff applies.
-  EXPECT_TRUE(plan.handoff);
-  EXPECT_EQ(plan.splitIndex, 10u);
 }
 
 TEST(Dispatch, BudgetParameterMovesTheDenseFeasibilityEdge) {
@@ -94,33 +86,6 @@ TEST(Dispatch, BudgetParameterMovesTheDenseFeasibilityEdge) {
   const EnginePlan tight = planEngine(c, denseStateBytes(12) - 1);
   EXPECT_FALSE(scoreOf(tight, "statevector").feasible);
   EXPECT_EQ(tight.chosen, "exact");
-}
-
-TEST(Dispatch, ShortCliffordPrefixDoesNotHandOff) {
-  // Prefix below kMinHandoffPrefixGates: conversion overhead isn't paid.
-  QuantumCircuit c(12);
-  c.h(0);
-  c.t(0);
-  for (unsigned q = 0; q + 1 < 12; ++q) c.cx(q, q + 1);
-  for (unsigned q = 0; q < 12; ++q) c.t(q);
-  const EnginePlan plan = planEngine(c);
-  EXPECT_NE(plan.chosen, "chp");
-  EXPECT_EQ(plan.features.cliffordPrefixGates, 1u);
-  EXPECT_FALSE(plan.handoff);
-}
-
-TEST(Dispatch, DynamicCircuitsNeverHandOff) {
-  // The cross-engine deviate contract pins a dynamic run to one engine:
-  // splitting would change which engine consumes which deviate.
-  QuantumCircuit c(4);
-  c.declareClassicalRegister(1);
-  c.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
-  for (unsigned q = 0; q < 4; ++q) c.t(q);
-  c.measure(0, 0);
-  const EnginePlan plan = planEngine(c);
-  EXPECT_TRUE(plan.features.dynamic);
-  EXPECT_GE(plan.features.cliffordPrefixGates, kMinHandoffPrefixGates);
-  EXPECT_FALSE(plan.handoff);
 }
 
 TEST(Dispatch, RecordPlanEmitsTheDispatchGauges) {
@@ -140,15 +105,15 @@ TEST(Dispatch, RecordPlanEmitsTheDispatchGauges) {
   EXPECT_GT(snap.gauges.at("dispatch.cost.exact"), 0.0);
   EXPECT_EQ(snap.gauges.at("dispatch.feature.qubits"), 28.0);
   EXPECT_EQ(snap.gauges.at("dispatch.feature.t_count"), 28.0);
-  EXPECT_EQ(snap.gauges.at("dispatch.handoff"), 1.0);
-  EXPECT_EQ(snap.gauges.at("dispatch.split_index"), 28.0);
+  EXPECT_EQ(snap.gauges.at("dispatch.feature.clifford_prefix"), 28.0);
+  // The plan is an engine choice only: no mid-circuit split is recorded.
+  EXPECT_EQ(snap.gauges.count("dispatch.handoff"), 0u);
 }
 
 TEST(Dispatch, RationaleNamesTheChoiceAndEveryVerdict) {
   const EnginePlan plan = planEngine(cliffordPlusTCircuit(28));
   const std::string text = planRationale(plan);
   EXPECT_NE(text.find("chose 'exact'"), std::string::npos) << text;
-  EXPECT_NE(text.find("handoff after gate 28"), std::string::npos) << text;
   for (const EngineScore& s : plan.scores) {
     EXPECT_NE(text.find(s.name), std::string::npos) << s.name;
   }

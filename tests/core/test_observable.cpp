@@ -254,7 +254,7 @@ TEST(Expectation, ZOnlyStringsLeaveTheExactContextWarm) {
 
 TEST(Expectation, ExactExpectationIsReadOnly) {
   // X/Y strings are a pure query on the exact engine too: repeated calls
-  // apply no gate, grow neither the bit-width nor the diagram, never drop
+  // create no BDD node, grow neither the bit-width nor the diagram, never drop
   // the measurement memo, and return bit-identical values.
   const QuantumCircuit c = randomCircuit(12, 36, 3);
   const std::unique_ptr<Engine> engine = makeEngine("exact", c.numQubits());
@@ -280,8 +280,13 @@ TEST(Expectation, ExactExpectationIsReadOnly) {
       EXPECT_EQ(engine->expectation(obs), first) << "call " << call;
   }
   const metrics::RunReport after = engine->runMetrics();
-  EXPECT_EQ(after.metrics.counters.at("gates.applied"),
-            before.metrics.counters.at("gates.applied"));
+  // A rotate-and-restore answer would build BDD nodes and probe the
+  // computed cache; the pair descent does neither.
+  for (const char* counter : {"bdd.created_nodes", "cache.lookups"}) {
+    EXPECT_EQ(after.metrics.counters.at(counter),
+              before.metrics.counters.at(counter))
+        << counter;
+  }
   EXPECT_EQ(after.metrics.gauges.at("bitwidth.max"),
             before.metrics.gauges.at("bitwidth.max"));
   EXPECT_EQ(after.metrics.gauges.at("nodes.live"),

@@ -119,6 +119,23 @@ TEST(RunReportSchema, RunMetricsIsIdempotent) {
   }
 }
 
+TEST(RunReportSchema, GateByGateApplicationCountsEveryGate) {
+  // A caller that drives the engine one applyGate() at a time (incremental
+  // preparation, a warm-cache suffix, a per-gate benchmark probe) sees
+  // gates.applied count each call, on every engine; injectGate() (a noise
+  // Pauli) is not a circuit gate and is not counted.
+  const QuantumCircuit c = benchCircuit();
+  for (const std::string& name : engineNames()) {
+    SCOPED_TRACE(name);
+    const std::unique_ptr<Engine> engine = makeEngine(name, kQubits);
+    engine->metrics().enable();
+    for (const Gate& g : c.gates()) engine->applyGate(g);
+    engine->injectGate(Gate{GateKind::kX, {0}, {}});
+    EXPECT_EQ(engine->runMetrics().metrics.counters.at("gates.applied"),
+              c.gateCount());
+  }
+}
+
 TEST(RunReportSchema, DisabledRegistryStillYieldsPinnedKeys) {
   // --stats off: nothing records, but a report requested anyway is still
   // schema-complete (all pinned keys, zero values) — consumers never

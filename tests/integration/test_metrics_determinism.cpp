@@ -200,5 +200,44 @@ TEST(MetricsDeterminism, TrajectoriesAreBitIdenticalWithTelemetryOn) {
   }
 }
 
+TEST(MetricsDeterminism, WalkedTrajectoriesCountOnlyCircuitGatesOnEveryEngine) {
+  // examples/circuits/toffoli_superposed.qasm, 20 trajectories at seed 7.
+  // gates.applied counts the circuit's executed ops on every engine: the
+  // Paulis the noise instrument injects and the X of a reset are not
+  // circuit gates, so the engines agree with one another and with
+  // gates.pre_fusion.
+  QuantumCircuit circuit(3);
+  circuit.h(0).h(1).t(0).tdg(1).ccx(0, 1, 2).s(2);
+  // examples/noise_basic.txt, and a model strong enough that every seed
+  // injects Paulis.
+  const char* specs[] = {
+      "gate1 depolarizing 0.01\n"
+      "gate2 depolarizing 0.02\n"
+      "idle damping 0.002\n"
+      "measure 0.015\n",
+      "gate1 depolarizing 0.5\n"};
+  constexpr unsigned kTrajectories = 20;
+  for (const char* spec : specs) {
+    const noise::NoiseModel model = noise::NoiseModel::parseString(spec);
+    for (const char* name : {"exact", "qmdd", "statevector"}) {
+      SCOPED_TRACE(std::string(name) + " under " + spec);
+      metrics::Registry sink;
+      sink.enable();
+      noise::TrajectoryOptions opts;
+      opts.trajectories = kTrajectories;
+      opts.seed = 7;
+      opts.metrics = &sink;
+      const noise::TrajectoryResult result =
+          noise::runTrajectories(name, circuit, model, opts);
+      ASSERT_FALSE(result.usedPauliFrameFastPath);
+      const metrics::Snapshot snap = sink.snapshot();
+      EXPECT_EQ(snap.counters.at("gates.pre_fusion"),
+                kTrajectories * circuit.gateCount());
+      EXPECT_EQ(snap.counters.at("gates.applied"),
+                snap.counters.at("gates.pre_fusion"));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sliq

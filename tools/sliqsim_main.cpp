@@ -12,10 +12,9 @@
 //                              scores every engine from the circuit's
 //                              features (Clifford fraction, T count,
 //                              two-qubit depth, width) and runs the
-//                              cheapest feasible one, printing its
-//                              rationale; a long Clifford prefix may run on
-//                              the chp tableau first and hand the state
-//                              over mid-circuit (DESIGN.md §13)
+//                              cheapest feasible one exactly as if it
+//                              had been named, printing its rationale
+//                              (DESIGN.md §13)
 //   --shots N                  sample N basis states (default: 0). On a
 //                              dynamic circuit (mid-circuit measure/reset/
 //                              if), each shot re-executes the circuit and
@@ -84,6 +83,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -94,7 +94,6 @@
 #include "core/dispatch.hpp"
 #include "core/engine_registry.hpp"
 #include "core/observable.hpp"
-#include "core/state_convert.hpp"
 #include "noise/noise_model.hpp"
 #include "noise/trajectory.hpp"
 #include "support/bits.hpp"
@@ -205,8 +204,8 @@ sliq::metrics::RunReport aggregatedReport(sliq::Engine& engine) {
   return report;
 }
 
-/// The one engine setup every CLI path shares: with telemetry on, the
-/// engine's registry is enabled and absorbs the pre-engine CLI phases
+/// Stage 2, the pipeline's one engine: with telemetry on, the engine's
+/// registry is enabled and absorbs the pre-engine CLI phases
 /// (parse, optimize, dispatch); --threads partitions single-circuit
 /// execution unless --noise claims it for trajectory fan-out.
 std::unique_ptr<sliq::Engine> makeCliEngine(
@@ -238,11 +237,16 @@ void saveEngineState(sliq::Engine& engine, const std::string& path) {
   }
 }
 
-void loadEngineState(sliq::Engine& engine, const std::string& path) {
+std::ifstream openSnapshot(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     throw std::runtime_error("cannot open snapshot file '" + path + "'");
   }
+  return in;
+}
+
+void loadEngineState(sliq::Engine& engine, const std::string& path) {
+  std::ifstream in = openSnapshot(path);
   engine.loadState(in);
 }
 
@@ -305,51 +309,6 @@ void runWithWarmCache(sliq::Engine& engine, const sliq::QuantumCircuit& circuit,
   std::cout << "warm-cache: stored " << fullPath << "\n";
 }
 
-// ---- mid-circuit engine handoff --------------------------------------------
-
-/// Executes the dispatcher's handoff plan: gates [0, splitIndex) on a fresh
-/// chp tableau, state conversion into `engine`, gates [splitIndex, end)
-/// there. The differential harness pins this path against a monolithic run
-/// (<= 1e-10 on probabilities and expectations) for every split point.
-/// Returns false — leaving `engine` dirty; the caller restarts
-/// monolithically on a fresh engine — when the conversion refuses (typed
-/// ConversionError / MemoryBudgetError), so a planner misprediction
-/// degrades to the plain path instead of failing the run.
-bool runWithHandoff(sliq::Engine& engine, const sliq::QuantumCircuit& circuit,
-                    std::size_t splitIndex) {
-  using sliq::metrics::ScopedSpan;
-  try {
-    const ScopedSpan span(engine.metrics(), "handoff");
-    const std::unique_ptr<sliq::Engine> prefix =
-        sliq::makeEngine("chp", circuit.numQubits());
-    if (engine.metrics().enabled()) prefix->metrics().enable();
-    {
-      const ScopedSpan prefixSpan(engine.metrics(), "handoff.prefix");
-      for (std::size_t i = 0; i < splitIndex; ++i)
-        prefix->applyGate(circuit.gate(i));
-    }
-    prefix->exportTo(engine);
-    // Fold the tableau's telemetry (its gate counters, the convert.* route
-    // counters) into the main engine's registry before the suffix runs.
-    if (engine.metrics().enabled()) engine.metrics().merge(prefix->metrics());
-    {
-      const ScopedSpan suffixSpan(engine.metrics(), "handoff.suffix");
-      for (std::size_t i = splitIndex; i < circuit.gateCount(); ++i)
-        engine.applyGate(circuit.gate(i));
-    }
-    engine.metrics().add("handoff.prefix_gates", splitIndex);
-    return true;
-  } catch (const sliq::ConversionError& e) {
-    std::cerr << "handoff: conversion refused (" << e.what()
-              << ") — falling back to a monolithic run\n";
-    return false;
-  } catch (const sliq::MemoryBudgetError& e) {
-    std::cerr << "handoff: " << e.what()
-              << " — falling back to a monolithic run\n";
-    return false;
-  }
-}
-
 // ---- shard-histogram merging -----------------------------------------------
 
 /// --merge-counts: sums the "<bits>  <count>" rows of every input file
@@ -409,14 +368,135 @@ int mergeCountsMain(const Options& opt) {
   return 0;
 }
 
-// ---- ideal-state queries ---------------------------------------------------
+// ---- pipeline stages -------------------------------------------------------
 
-/// The ideal-state queries (--observable/--probs/--amps/--shots) plus the
-/// final telemetry emission — shared by the run-a-circuit path and the
-/// pure --load-state query mode. Returns the process exit code.
-int runStateQueries(const Options& opt, sliq::Engine& engine,
-                    const sliq::PauliObservable& observable, sliq::Rng& rng,
-                    bool telemetry) {
+/// Stage 1 for a circuit run: parses the .real or OpenQASM 2.0 file under
+/// the "parse" span.
+sliq::QuantumCircuit parseCircuit(const Options& opt,
+                                  sliq::metrics::Registry& cliMetrics) {
+  using namespace sliq;
+  const metrics::ScopedSpan span(cliMetrics, "parse");
+  if (!endsWith(opt.path, ".real")) return parseQasmFile(opt.path);
+  const RealProgram program = parseRealFile(opt.path);
+  return opt.modifyH ? modifyWithHadamards(program)
+                     : instantiateOriginal(program, opt.seed);
+}
+
+/// Stage 4 under --noise: Monte-Carlo trajectories on worker engines whose
+/// registries `engine` absorbs. Prints the trajectory-mean <O> under
+/// --observable, the shot histogram otherwise.
+void runNoise(const Options& opt, const sliq::QuantumCircuit& circuit,
+              const sliq::PauliObservable& observable, sliq::Engine& engine) {
+  using namespace sliq;
+  const noise::NoiseModel model = noise::NoiseModel::parseFile(opt.noisePath);
+  std::cout << "noise: " << model.summary() << "\n";
+  noise::TrajectoryOptions traj;
+  traj.trajectories = opt.trajectories;
+  traj.firstTrajectory = opt.trajOffset;
+  traj.threads = opt.threads;
+  traj.seed = opt.seed;
+  traj.metrics = engine.metrics().enabled() ? &engine.metrics() : nullptr;
+  // The closing line, shared by the expectation and the histogram result.
+  const auto finish = [&](const auto& result) {
+    std::cout << "ran " << result.trajectories << " trajectories in "
+              << result.seconds << " s ("
+              << static_cast<std::uint64_t>(result.trajectoriesPerSecond())
+              << " traj/s, " << result.threadsUsed << " thread"
+              << (result.threadsUsed == 1 ? "" : "s") << ", "
+              << (result.usedPauliFrameFastPath ? "pauli-frame fast path"
+                                                : "generic path")
+              << ", " << engine.name() << ")\n";
+  };
+  if (!opt.observablePath.empty()) {
+    // Noisy expectation: the trajectory-mean of engine-exact <O>,
+    // bit-identical for every --threads under a fixed --seed (printed with
+    // full precision so determinism diffs would catch any drift).
+    const noise::ExpectationResult result = noise::runTrajectoryExpectation(
+        engine, circuit, model, observable, traj);
+    std::cout << "<O> = " << std::setprecision(17) << result.mean
+              << std::setprecision(6) << "  (stat. error "
+              << result.standardError << " over " << result.trajectories
+              << " trajectories)\n";
+    finish(result);
+    return;
+  }
+  const noise::TrajectoryResult result =
+      noise::runTrajectories(engine, circuit, model, traj);
+  for (const auto& [bits, count] : result.counts)
+    std::cout << bits << "  " << count << "\n";
+  finish(result);
+}
+
+/// Stage 4: executes `circuit` — noise trajectories, or the pre-run state
+/// (|0...0> or a resumed --load-state snapshot) followed by the per-shot
+/// dynamic, single dynamic, warm-cache or static run. Returns true when
+/// the work ran on other engines whose registries `engine` absorbed (noise
+/// trajectories, per-shot dynamic re-execution): `engine` then holds no
+/// result state to snapshot or query, and its report is the aggregate.
+bool execute(const Options& opt, const sliq::QuantumCircuit& circuit,
+             const sliq::PauliObservable& observable, sliq::Engine& engine,
+             sliq::Rng& rng) {
+  using namespace sliq;
+  if (!opt.noisePath.empty()) {
+    runNoise(opt, circuit, observable, engine);
+    return true;
+  }
+  // Resume semantics: the restored snapshot replaces |0...0> as the pre-run
+  // state, and the circuit (if any gates follow) applies on top.
+  if (!opt.loadStatePath.empty()) {
+    loadEngineState(engine, opt.loadStatePath);
+    std::cout << "resumed: " << engine.name() << " state from "
+              << opt.loadStatePath << "\n";
+  }
+  WallTimer timer;
+  if (circuit.isDynamic() && opt.shots > 0) {
+    // Per-shot re-execution: mid-circuit collapse makes each shot a fresh
+    // run of the whole circuit; the shared Rng advances across shots (one
+    // deviate per executed measure/reset), so the shot stream is a pure
+    // function of --seed — and identical across engines, the property the
+    // determinism smoke diffs.
+    for (unsigned s = 0; s < opt.shots; ++s) {
+      const std::unique_ptr<Engine> shotEngine =
+          makeEngine(engine.name(), circuit.numQubits());
+      if (engine.metrics().enabled()) shotEngine->metrics().enable();
+      const DynamicRun run = shotEngine->runDynamic(circuit, rng);
+      std::cout << "shot " << s << ": " << bitsToString(run.creg) << "\n";
+      if (engine.metrics().enabled()) {
+        // Fold the shot engine's native totals into its registry, then
+        // aggregate: counters sum across shots, gauges high-water.
+        shotEngine->runMetrics();
+        engine.metrics().merge(shotEngine->metrics());
+      }
+    }
+    std::cout << "executed " << opt.shots
+              << " dynamic shots (classical register bits, per-shot "
+                 "re-execution) in "
+              << timer.seconds() << " s (" << engine.name() << ")\n";
+    return true;
+  }
+  if (circuit.isDynamic()) {
+    const DynamicRun run = engine.runDynamic(circuit, rng);
+    std::cout << "simulated in " << timer.seconds() << " s (" << engine.name()
+              << ", dynamic)\n";
+    std::cout << "creg: " << bitsToString(run.creg) << "\n";
+  } else {
+    if (opt.warmCacheDir.empty()) {
+      engine.run(circuit);
+    } else {
+      runWithWarmCache(engine, circuit, opt);
+    }
+    std::cout << "simulated in " << timer.seconds() << " s (" << engine.name()
+              << ")\n";
+  }
+  const std::string summary = engine.runSummary();
+  if (!summary.empty()) std::cout << summary << "\n";
+  return false;
+}
+
+/// Stage 6: the ideal-state queries (--observable/--probs/--amps/--shots),
+/// in that order, against the engine's single state.
+void runStateQueries(const Options& opt, sliq::Engine& engine,
+                     const sliq::PauliObservable& observable, sliq::Rng& rng) {
   using namespace sliq;
   if (!opt.observablePath.empty()) {
     // Exact expectations, one native contraction per string — the state
@@ -462,53 +542,6 @@ int runStateQueries(const Options& opt, sliq::Engine& engine,
     std::cout << "sampled " << opt.shots << " shots in " << sampleSeconds
               << " s\n";
   }
-  if (telemetry &&
-      !emitTelemetry(opt, engine.runMetrics(), engine.metrics())) {
-    return 1;
-  }
-  return 0;
-}
-
-/// Pure snapshot-query mode: no circuit — the engine (and register width)
-/// come from the snapshot header, the state from the snapshot body, and
-/// the usual queries run against it.
-int queryLoadedState(const Options& opt,
-                     const sliq::metrics::Registry& cliMetrics,
-                     bool telemetry) {
-  using namespace sliq;
-  std::ifstream peek(opt.loadStatePath, std::ios::binary);
-  if (!peek) {
-    std::cerr << "error: cannot open snapshot file '" << opt.loadStatePath
-              << "'\n";
-    return 1;
-  }
-  const serialize::SnapshotInfo info = serialize::readSnapshotInfo(peek);
-  peek.close();
-
-  // --engine overrides the header's representation (loadState then rejects
-  // the mismatch with a clear diagnostic rather than silently ignoring the
-  // user's flag).
-  const std::string engineName =
-      opt.engineGiven ? opt.engine : info.representation;
-  std::unique_ptr<Engine> engine =
-      makeCliEngine(engineName, info.numQubits, opt, cliMetrics, telemetry);
-  loadEngineState(*engine, opt.loadStatePath);
-  std::cout << "loaded state: " << engine->name() << ", "
-            << engine->numQubits() << " qubits (" << opt.loadStatePath
-            << ")\n";
-
-  PauliObservable observable;
-  if (!opt.observablePath.empty()) {
-    observable = PauliObservable::parseFile(opt.observablePath);
-    observable.validateForWidth(engine->numQubits());
-    std::cout << "observable: " << observable.summary() << "\n";
-  }
-  if (!opt.saveStatePath.empty()) {
-    saveEngineState(*engine, opt.saveStatePath);
-    std::cout << "saved state: " << opt.saveStatePath << "\n";
-  }
-  Rng rng(opt.seed);
-  return runStateQueries(opt, *engine, observable, rng, telemetry);
 }
 
 }  // namespace
@@ -631,58 +664,65 @@ int main(int argc, char** argv) {
   metrics::Registry cliMetrics;
   if (telemetry) cliMetrics.enable();
 
+  // One pipeline for every mode: source -> engine -> observable ->
+  // execute -> snapshot -> queries -> telemetry. With no circuit argument
+  // the --load-state snapshot is the source and nothing executes.
   try {
-    if (opt.path.empty()) {
-      // --load-state with no circuit: query the snapshot directly.
-      return queryLoadedState(opt, cliMetrics, telemetry);
-    }
-    QuantumCircuit circuit(1);
-    {
-      const metrics::ScopedSpan span(cliMetrics, "parse");
-      if (endsWith(opt.path, ".real")) {
-        const RealProgram program = parseRealFile(opt.path);
-        circuit = opt.modifyH ? modifyWithHadamards(program)
-                              : instantiateOriginal(program, opt.seed);
-      } else {
-        circuit = parseQasmFile(opt.path);
-      }
-    }
-    std::cout << "loaded: " << circuit.summary() << "\n";
-    // Rules that depend on whether the circuit is dynamic (mid-circuit
-    // measure/reset/classical control) — checkable only after parsing.
-    if (const std::string error =
-            sliq::cli::validateDynamic(opt, circuit.isDynamic());
-        !error.empty()) {
-      std::cerr << "error: " << error << "\n";
-      return 2;
-    }
-    if (opt.optimize) {
-      const metrics::ScopedSpan span(cliMetrics, "optimize");
-      OptimizerReport report;
-      circuit = optimizeCircuit(circuit, &report);
-      std::cout << "optimized: " << report.gatesBefore << " -> "
-                << report.gatesAfter << " gates\n";
-    }
-
-    // --engine auto: score every registered engine against the circuit's
-    // features and resolve to the cheapest feasible one before any registry
-    // lookup (DESIGN.md §13). The plan's dispatch.* gauges land in the CLI
-    // registry, so --stats reports them; the rationale prints always.
+    // 1. Source: the (optimized, planned) circuit, or the snapshot header.
+    std::optional<QuantumCircuit> circuit;
     std::string engineName = opt.engine;
-    EnginePlan plan;
-    const bool autoEngine = sliq::cli::isAutoEngine(opt);
-    if (autoEngine) {
-      const metrics::ScopedSpan span(cliMetrics, "dispatch");
-      plan = planEngine(circuit);
-      recordPlan(plan, cliMetrics);
-      engineName = plan.chosen;
-      std::cout << planRationale(plan);
+    unsigned numQubits = 0;
+    if (opt.path.empty()) {
+      std::ifstream in = openSnapshot(opt.loadStatePath);
+      const serialize::SnapshotInfo info = serialize::readSnapshotInfo(in);
+      // --engine overrides the header's representation (loadState then
+      // rejects the mismatch with a clear diagnostic rather than silently
+      // ignoring the user's flag).
+      if (!opt.engineGiven) engineName = info.representation;
+      numQubits = info.numQubits;
+    } else {
+      circuit = parseCircuit(opt, cliMetrics);
+      std::cout << "loaded: " << circuit->summary() << "\n";
+      // Rules that depend on whether the circuit is dynamic (mid-circuit
+      // measure/reset/classical control) — checkable only after parsing.
+      if (const std::string error =
+              sliq::cli::validateDynamic(opt, circuit->isDynamic());
+          !error.empty()) {
+        std::cerr << "error: " << error << "\n";
+        return 2;
+      }
+      if (opt.optimize) {
+        const metrics::ScopedSpan span(cliMetrics, "optimize");
+        OptimizerReport report;
+        circuit = optimizeCircuit(*circuit, &report);
+        std::cout << "optimized: " << report.gatesBefore << " -> "
+                  << report.gatesAfter << " gates\n";
+      }
+      // --engine auto: score every registered engine against the circuit's
+      // features and run the cheapest feasible one exactly as if it had
+      // been named (DESIGN.md §13). The plan's dispatch.* gauges land in
+      // the CLI registry, so --stats reports them; the rationale prints
+      // always.
+      if (sliq::cli::isAutoEngine(opt)) {
+        const metrics::ScopedSpan span(cliMetrics, "dispatch");
+        const EnginePlan plan = planEngine(*circuit);
+        recordPlan(plan, cliMetrics);
+        engineName = plan.chosen;
+        std::cout << planRationale(plan);
+      }
+      numQubits = circuit->numQubits();
     }
 
-    // The one code path for every engine: name -> registry -> facade.
-    std::unique_ptr<Engine> engine = makeCliEngine(
-        engineName, circuit.numQubits(), opt, cliMetrics, telemetry);
-    if (!engine->supports(circuit)) {
+    // 2. Engine: the one code path for every mode, name -> registry ->
+    // facade. In query mode the snapshot body becomes its state.
+    const std::unique_ptr<Engine> engine =
+        makeCliEngine(engineName, numQubits, opt, cliMetrics, telemetry);
+    if (!circuit) {
+      loadEngineState(*engine, opt.loadStatePath);
+      std::cout << "loaded state: " << engine->name() << ", "
+                << engine->numQubits() << " qubits (" << opt.loadStatePath
+                << ")\n";
+    } else if (!engine->supports(*circuit)) {
       std::cerr << "error: engine '" << engine->name()
                 << "' does not support this circuit ("
                 << EngineRegistry::instance().describe(engine->name())
@@ -690,130 +730,38 @@ int main(int argc, char** argv) {
       return 1;
     }
 
+    // 3. Observable, validated against the engine's width.
     PauliObservable observable;
     if (!opt.observablePath.empty()) {
       observable = PauliObservable::parseFile(opt.observablePath);
-      observable.validateForWidth(circuit.numQubits());
+      observable.validateForWidth(engine->numQubits());
       std::cout << "observable: " << observable.summary() << "\n";
     }
 
-    if (!opt.noisePath.empty()) {
-      const noise::NoiseModel model = noise::NoiseModel::parseFile(opt.noisePath);
-      std::cout << "noise: " << model.summary() << "\n";
-      noise::TrajectoryOptions traj;
-      traj.trajectories = opt.trajectories;
-      traj.firstTrajectory = opt.trajOffset;
-      traj.threads = opt.threads;
-      traj.seed = opt.seed;
-      traj.metrics = telemetry ? &engine->metrics() : nullptr;
-      // The closing line and telemetry of a --noise run, shared by the
-      // expectation and the histogram result; returns the exit code.
-      const auto finish = [&](const auto& result) {
-        std::cout << "ran " << result.trajectories << " trajectories in "
-                  << result.seconds << " s ("
-                  << static_cast<std::uint64_t>(result.trajectoriesPerSecond())
-                  << " traj/s, " << result.threadsUsed << " thread"
-                  << (result.threadsUsed == 1 ? "" : "s") << ", "
-                  << (result.usedPauliFrameFastPath ? "pauli-frame fast path"
-                                                    : "generic path")
-                  << ", " << engine->name() << ")\n";
-        if (telemetry &&
-            !emitTelemetry(opt, aggregatedReport(*engine), engine->metrics())) {
-          return 1;
-        }
-        return 0;
-      };
-      if (!opt.observablePath.empty()) {
-        // Noisy expectation: the trajectory-mean of engine-exact ⟨O⟩,
-        // bit-identical for every --threads under a fixed --seed (printed
-        // with full precision so determinism diffs would catch any drift).
-        const noise::ExpectationResult result = noise::runTrajectoryExpectation(
-            *engine, circuit, model, observable, traj);
-        std::cout << "<O> = " << std::setprecision(17) << result.mean
-                  << std::setprecision(6) << "  (stat. error "
-                  << result.standardError << " over " << result.trajectories
-                  << " trajectories)\n";
-        return finish(result);
-      }
-      const noise::TrajectoryResult result =
-          noise::runTrajectories(*engine, circuit, model, traj);
-      for (const auto& [bits, count] : result.counts)
-        std::cout << bits << "  " << count << "\n";
-      return finish(result);
-    }
-
-    // Resume semantics: the restored snapshot replaces |0...0⟩ as the
-    // pre-run state, and the circuit (if any gates follow) applies on top.
-    if (!opt.loadStatePath.empty()) {
-      loadEngineState(*engine, opt.loadStatePath);
-      std::cout << "resumed: " << engine->name() << " state from "
-                << opt.loadStatePath << "\n";
-    }
-
+    // 4. Execute.
     Rng rng(opt.seed);
-    WallTimer timer;
-    if (circuit.isDynamic()) {
-      if (opt.shots > 0) {
-        // Per-shot re-execution: mid-circuit collapse makes each shot a
-        // fresh run of the whole circuit; the shared Rng advances across
-        // shots (one deviate per executed measure/reset), so the shot
-        // stream is a pure function of --seed — and identical across
-        // engines, the property the determinism smoke diffs.
-        for (unsigned s = 0; s < opt.shots; ++s) {
-          const std::unique_ptr<Engine> shotEngine =
-              makeEngine(engineName, circuit.numQubits());
-          if (telemetry) shotEngine->metrics().enable();
-          const DynamicRun run = shotEngine->runDynamic(circuit, rng);
-          std::cout << "shot " << s << ": " << bitsToString(run.creg)
-                    << "\n";
-          if (telemetry) {
-            // Fold the shot engine's native totals into its registry, then
-            // aggregate: counters sum across shots, gauges high-water.
-            shotEngine->runMetrics();
-            engine->metrics().merge(shotEngine->metrics());
-          }
-        }
-        std::cout << "executed " << opt.shots
-                  << " dynamic shots (classical register bits, per-shot "
-                     "re-execution) in "
-                  << timer.seconds() << " s (" << engine->name() << ")\n";
-        if (telemetry &&
-            !emitTelemetry(opt, aggregatedReport(*engine), engine->metrics())) {
-          return 1;
-        }
-        return 0;
-      }
-      const DynamicRun run = engine->runDynamic(circuit, rng);
-      std::cout << "simulated in " << timer.seconds() << " s ("
-                << engine->name() << ", dynamic)\n";
-      std::cout << "creg: " << bitsToString(run.creg) << "\n";
-    } else {
-      if (!opt.warmCacheDir.empty()) {
-        runWithWarmCache(*engine, circuit, opt);
-      } else {
-        bool ran = false;
-        if (autoEngine && plan.handoff) {
-          ran = runWithHandoff(*engine, circuit, plan.splitIndex);
-          if (!ran) {
-            // The refused handoff may have left partial state behind —
-            // restart monolithically on a fresh engine.
-            engine = makeCliEngine(engineName, circuit.numQubits(), opt,
-                                   cliMetrics, telemetry);
-          }
-        }
-        if (!ran) engine->run(circuit);
-      }
-      std::cout << "simulated in " << timer.seconds() << " s ("
-                << engine->name() << ")\n";
-    }
-    const std::string summary = engine->runSummary();
-    if (!summary.empty()) std::cout << summary << "\n";
+    const bool absorbed =
+        circuit && execute(opt, *circuit, observable, *engine, rng);
 
-    if (!opt.saveStatePath.empty()) {
-      saveEngineState(*engine, opt.saveStatePath);
-      std::cout << "saved state: " << opt.saveStatePath << "\n";
+    if (!absorbed) {
+      // 5. Snapshot the single final state.
+      if (!opt.saveStatePath.empty()) {
+        saveEngineState(*engine, opt.saveStatePath);
+        std::cout << "saved state: " << opt.saveStatePath << "\n";
+      }
+      // 6. Query it.
+      runStateQueries(opt, *engine, observable, rng);
     }
-    return runStateQueries(opt, *engine, observable, rng, telemetry);
+
+    // 7. Telemetry.
+    if (telemetry &&
+        !emitTelemetry(opt,
+                       absorbed ? aggregatedReport(*engine)
+                                : engine->runMetrics(),
+                       engine->metrics())) {
+      return 1;
+    }
+    return 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
